@@ -163,16 +163,10 @@ def cmd_analyze(args) -> int:
         columns["um"], columns["lm"], columns["sm"] = um, lm, um & lm
     if "quasi_ideal" in wanted:
         columns["quasi_ideal"], _ = P.quasi_ideal_inventory(lat)
-    if {"strong_ideal", "strong_quasi_ideal"} & set(wanted):
-        ifl = P.ideal_line_flags(lat)
-        qfl = P.quasi_line_flags(lat)
-        si = np.zeros(len(lat), dtype=bool)
-        sq = np.zeros(len(lat), dtype=bool)
-        for i in range(len(lat)):
-            lines = P.lines_of_node(lat, i)
-            si[i] = all(ifl[l] for l in lines)
-            sq[i] = all(qfl[l] for l in lines)
-        columns["strong_ideal"], columns["strong_quasi_ideal"] = si, sq
+    if "strong_ideal" in wanted:
+        columns["strong_ideal"] = P.strong_inventory(lat, P.ideal_line_flags(lat))
+    if "strong_quasi_ideal" in wanted:
+        columns["strong_quasi_ideal"] = P.strong_inventory(lat, P.quasi_line_flags(lat))
     if "modular_star" in wanted:
         columns["modular_star"] = np.array(
             [P.is_modular_star(lat, u).verdict for u in range(len(lat))], dtype=bool

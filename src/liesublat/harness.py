@@ -128,29 +128,10 @@ class AlgebraAnalysis:
 
     def _strong_flags(self):
         """A node is a strong (quasi-)ideal iff it contains no line that
-        fails to be an ideal (quasi-ideal); membership of the canonical
-        line representatives is tested per dimension class in batch."""
-        lat = self.lat
-        n = self.n_nodes
-        p = lat.algebra.p
-        self.strong_ideal = np.zeros(n, dtype=bool)
-        self.strong_quasi = np.zeros(n, dtype=bool)
-        bad_quasi = np.array([not self.quasi_lines[int(i)] for i in self.line_ids])
-        bad_ideal = np.array([not self.ideal_lines[int(i)] for i in self.line_ids])
-        reps = P.line_matrix(lat.algebra)  # same order as self.line_ids
-        for k, (ids, rows, pivs) in lat.stacks().items():
-            if k == 0:
-                self.strong_ideal[ids] = True
-                self.strong_quasi[ids] = True
-                continue
-            rows64 = rows.astype(np.int64)
-            for start in range(0, len(ids), 256):
-                sl = slice(start, start + 256)
-                coef = reps[:, pivs[sl]]                           # (lines, m, k)
-                recon = np.einsum("xmk,mkn->xmn", coef, rows64[sl]) % p
-                member = (recon == reps[:, None, :]).all(axis=2)   # line <= node
-                self.strong_quasi[ids[sl]] = ~(member & bad_quasi[:, None]).any(axis=0)
-                self.strong_ideal[ids[sl]] = ~(member & bad_ideal[:, None]).any(axis=0)
+        fails to be an ideal (quasi-ideal): its incidence row against
+        the bad-line mask."""
+        self.strong_ideal = P.strong_inventory(self.lat, self.ideal_lines)
+        self.strong_quasi = P.strong_inventory(self.lat, self.quasi_lines)
 
     def _atom_scalars(self):
         # action of each atom's representative on the derived subalgebra
@@ -220,7 +201,6 @@ class AlgebraAnalysis:
         self.mu = P.is_mu_algebra(lat)
         self._line_flags()
         self._strong_flags()
-        self.maximal_ids = lat.maximal_subalgebras()
         # semi-modularity is only evaluated where suites need it
         self.sm_checks: dict[int, bool] = {}
         for u in np.nonzero(self.quasi)[0]:
@@ -561,7 +541,7 @@ def _suite_psl3(config) -> SuiteReport:
         return rep
 
     t0 = time.monotonic()
-    maxima = an.maximal_ids
+    maxima = lat.maximal_subalgebras()
     timings["maximal_secs"] = time.monotonic() - t0
     _claim(claims, "maximal-count", True,
            {"count": len(maxima), "dims": sorted({int(lat.dims[m]) for m in maxima})},
@@ -577,14 +557,10 @@ def _suite_psl3(config) -> SuiteReport:
     t0 = time.monotonic()
     unrefuted = []
     for M in maxima:
-        bm = lat.nodes[M].bits()
         witness = None
         for B in range(len(lat.nodes)):
-            bb = lat.nodes[B].bits()
-            if bb & bm == bb:
-                continue
             mid = lat.meet(M, B)
-            if mid != B and not lat.is_maximal_in(mid, B):
+            if mid != B and not lat.is_maximal_in(mid, B):  # mid == B: B inside M
                 witness = B
                 break
         if witness is None:

@@ -7,15 +7,21 @@ is exactly the set of subalgebras, deterministically ordered by
 pivot-pattern shard; the worst fixture in range (GF(3)^7, about 2.05
 million candidate subspaces) takes well under a minute.
 
-Small and medium lattices additionally expose dense containment, join,
-meet and cover tables (`tables()`), which is what makes whole-lattice
-predicate scans cheap.  Large lattices fall back to lazy queries backed
-by membership bitsets and a per-line containment index.
+Every lattice carries one line-incidence index: a node is the union of
+the lines it contains, so its set of lines (a packed bit row, one
+column per line of GF(p)^n in enumeration order) identifies it.  Meets
+are ANDs of line sets and containment is a subset test, which answers
+every membership question.  Small and medium lattices additionally
+expose dense containment, join, meet and cover tables (`tables()`),
+which is what makes whole-lattice predicate scans cheap; large lattices
+answer the same queries lazily from the incidence.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +35,7 @@ from .linalg import (
     UsageError,
     count_subspaces,
     batch_subspaces,
+    line_index,
     subspace_shards,
 )
 
@@ -81,16 +88,17 @@ class SubalgebraLattice:
         self.nodes = nodes
         self.dims = np.array([s.dim for s in nodes], dtype=np.int64)
         self.index = {s.key: i for i, s in enumerate(nodes)}
-        self.bits_index = {s.bits(): i for i, s in enumerate(nodes)}
         self.zero_id = 0
         self.top_id = len(nodes) - 1
         self._tables: LatticeTables | None = None
         self._join_memo: dict = {}
-        self._containers: dict[int, np.ndarray] | None = None
-        self._stacks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
         top = nodes[self.top_id]
         if nodes[0].dim != 0 or top.dim != algebra.dim:
             raise UsageError("lattice must contain the zero subspace and the algebra")
+        self.n_lines = len(line_index(algebra.dim, algebra.p)[0])
+        self.incidence = _incidence(nodes, self.dims, algebra.dim, algebra.p)
+        self.line_keys = [int.from_bytes(row.tobytes(), "little") for row in self.incidence]
+        self._by_lines = {key: i for i, key in enumerate(self.line_keys)}
 
     # -- construction -------------------------------------------------------
 
@@ -156,15 +164,30 @@ class SubalgebraLattice:
     def node(self, i: int) -> Subspace:
         return self.nodes[self.node_id(i)]
 
+    def line_rows(self, ids=slice(None)) -> np.ndarray:
+        """Unpacked incidence: [.., j] is True iff line j lies in the node."""
+        return np.unpackbits(
+            self.incidence[ids], axis=-1, count=self.n_lines, bitorder="little"
+        ).astype(bool)
+
     def _le(self, a: int, b: int) -> bool:
-        ba, bb = self.nodes[a].bits(), self.nodes[b].bits()
-        return ba & bb == ba
+        ka = self.line_keys[a]
+        return ka & self.line_keys[b] == ka
+
+    def _above(self, i: int) -> np.ndarray:
+        """ids of the nodes containing the nonzero node i (i included),
+        found among the containers of its first line."""
+        key = self.line_keys[i]
+        j = (key & -key).bit_length() - 1
+        cand = np.nonzero(self.incidence[:, j >> 3] & (1 << (j & 7)))[0]
+        row = self.incidence[i]
+        return cand[((self.incidence[cand] & row) == row).all(axis=1)]
 
     # -- join and meet ---------------------------------------------------------
 
     def meet(self, a, b) -> int:
         ia, ib = self.node_id(a), self.node_id(b)
-        got = self.bits_index.get(self.nodes[ia].bits() & self.nodes[ib].bits())
+        got = self._by_lines.get(self.line_keys[ia] & self.line_keys[ib])
         if got is None:
             raise RuntimeError("meet of two nodes is missing from the lattice")
         return got
@@ -195,26 +218,6 @@ class SubalgebraLattice:
 
     # -- covering relation -------------------------------------------------------
 
-    def _line_containers(self) -> dict[int, np.ndarray]:
-        """node id of each line -> ids of all nodes containing that line."""
-        if self._containers is None:
-            buckets: dict[int, list[int]] = {}
-            for i, s in enumerate(self.nodes):
-                if s.dim == 0:
-                    continue
-                for rep in s.line_reps():
-                    line = Subspace.from_vectors([rep], s.n, s.p)
-                    buckets.setdefault(self.index[line.key], []).append(i)
-            self._containers = {
-                k: np.array(v, dtype=np.int64) for k, v in buckets.items()
-            }
-        return self._containers
-
-    def _first_line_id(self, i: int) -> int:
-        s = self.nodes[i]
-        rep = next(iter(s.line_reps()))
-        return self.index[Subspace.from_vectors([rep], s.n, s.p).key]
-
     def is_maximal_in(self, a, b) -> bool:
         """a is a maximal proper subalgebra of b (no node strictly between)."""
         ia, ib = self.node_id(a), self.node_id(b)
@@ -227,16 +230,10 @@ class SubalgebraLattice:
             return bool(self._tables.maximal[ia, ib])
         if da == 0:
             return db == 1  # every line is a node, so anything bigger has one
-        bb = self.nodes[ib].bits()
-        ba = self.nodes[ia].bits()
-        for w in self._line_containers()[self._first_line_id(ia)]:
-            dw = int(self.dims[w])
-            if not da < dw < db:
-                continue
-            bw = self.nodes[w].bits()
-            if ba & bw == ba and bw & bb == bw:
-                return False
-        return True
+        above = self._above(ia)
+        dw = self.dims[above]
+        between = above[(dw > da) & (dw < db)]
+        return bool((self.incidence[between] & ~self.incidence[ib]).any(axis=1).all())
 
     def covers(self, a, b) -> bool:
         """b covers a: same relation as is_maximal_in(a, b)."""
@@ -256,14 +253,8 @@ class SubalgebraLattice:
                 if n == 1:
                     out.append(i)
                 continue
-            bi = self.nodes[i].bits()
-            blocked = False
-            for w in self._line_containers()[self._first_line_id(i)]:
-                dw = int(self.dims[w])
-                if d < dw < n and bi & self.nodes[w].bits() == bi:
-                    blocked = True
-                    break
-            if not blocked:
+            dw = self.dims[self._above(i)]
+            if not ((dw > d) & (dw < n)).any():
                 out.append(i)
         return out
 
@@ -271,10 +262,8 @@ class SubalgebraLattice:
         maxima = self.maximal_subalgebras()
         if not maxima:
             raise UsageError("frattini is undefined without maximal subalgebras")
-        bits = self.nodes[maxima[0]].bits()
-        for m in maxima[1:]:
-            bits &= self.nodes[m].bits()
-        return self.bits_index[bits]
+        key = functools.reduce(operator.and_, (self.line_keys[m] for m in maxima))
+        return self._by_lines[key]
 
     def induced_ids(self, v) -> np.ndarray:
         """ids of all nodes contained in the node v (the lattice of the
@@ -282,29 +271,9 @@ class SubalgebraLattice:
         iv = self.node_id(v)
         if self._tables is not None:
             return np.nonzero(self._tables.contain[:, iv])[0]
-        bv = self.nodes[iv].bits()
-        return np.array(
-            [i for i, s in enumerate(self.nodes) if s.bits() & bv == s.bits()],
-            dtype=np.int64,
-        )
+        return np.nonzero(~(self.incidence & ~self.incidence[iv]).any(axis=1))[0]
 
     # -- dense tables -----------------------------------------------------------
-
-    def stacks(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-dimension (ids, stacked bases, stacked pivots)."""
-        if self._stacks is None:
-            out = {}
-            for k in sorted(set(int(d) for d in self.dims)):
-                ids = np.nonzero(self.dims == k)[0]
-                rows = np.stack([self.nodes[i].rows for i in ids]) if k else np.zeros(
-                    (len(ids), 0, self.algebra.dim), dtype=np.uint8
-                )
-                pivs = np.array([self.nodes[i].pivots for i in ids], dtype=np.int64)
-                if k == 0:
-                    pivs = pivs.reshape(len(ids), 0)
-                out[k] = (ids, rows, pivs)
-            self._stacks = out
-        return self._stacks
 
     def has_tables(self, limit: int = TABLE_NODE_LIMIT) -> bool:
         return len(self.nodes) <= limit
@@ -331,22 +300,9 @@ class LatticeTables:
     @classmethod
     def build(cls, lat: SubalgebraLattice) -> "LatticeTables":
         n_nodes = len(lat.nodes)
-        p = lat.algebra.p
-        contain = np.zeros((n_nodes, n_nodes), dtype=bool)
-        np.fill_diagonal(contain, True)
-        stacks = lat.stacks()
-        ks = sorted(stacks)
-        for ka in ks:
-            ids_a, rows_a, _ = stacks[ka]
-            for kb in ks:
-                if kb <= ka:
-                    continue
-                ids_b, rows_b, piv_b = stacks[kb]
-                if ka == 0:
-                    contain[np.ix_(ids_a, ids_b)] = True
-                    continue
-                sub = _stack_membership(rows_a, rows_b, piv_b, p)
-                contain[np.ix_(ids_a, ids_b)] = sub
+        # a <= b iff no line of a lies outside b
+        lines = lat.line_rows().astype(np.float32)
+        contain = (lines @ (1 - lines).T) == 0
         join, meet = _join_meet_tables(contain, lat.dims)
         strict = contain & ~np.eye(n_nodes, dtype=bool)
         between = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
@@ -354,23 +310,29 @@ class LatticeTables:
         return cls(contain, join, meet, maximal)
 
 
-def _stack_membership(rows_a, rows_b, piv_b, p, chunk: int = 256) -> np.ndarray:
-    """sub[a, b] = every row of basis a lies in span(basis b).
+def _incidence(nodes: list[Subspace], dims: np.ndarray, n: int, p: int,
+               chunk: int = 4096) -> np.ndarray:
+    """Packed line-incidence rows: bit j (little bit order) of row i is
+    set iff line j of GF(p)^n lies in node i.
 
-    All bases b share dimension kb and carry their pivot columns, so
-    membership is the RREF reconstruction test v == v[pivots] @ basis.
+    Per dimension class k, the members x @ rows of every node, one per
+    line x of GF(p)^k, are mapped to their lines through `line_index`.
     """
-    na = rows_a.shape[0]
-    nb = rows_b.shape[0]
-    out = np.zeros((na, nb), dtype=bool)
-    b64 = rows_b.astype(np.int64)
-    for start in range(0, na, chunk):
-        stop = min(start + chunk, na)
-        a64 = rows_a[start:stop].astype(np.int64)      # (m, ka, n)
-        coef = a64[:, :, piv_b]                         # (m, ka, nb, kb)
-        recon = np.einsum("arbt,btn->arbn", coef, b64) % p
-        ok = (recon == a64[:, :, None, :]).all(axis=(1, 3))
-        out[start:stop] = ok
+    reps, column = line_index(n, p)
+    n_lines = len(reps)
+    weights = p ** np.arange(n, dtype=np.int64)
+    out = np.zeros((len(nodes), (n_lines + 7) // 8), dtype=np.uint8)
+    for k in np.unique(dims[dims > 0]):
+        coeffs = line_index(int(k), p)[0]
+        ids = np.nonzero(dims == k)[0]
+        for start in range(0, len(ids), chunk):
+            sl = ids[start : start + chunk]
+            rows = np.stack([nodes[i].rows for i in sl]).astype(np.int64)
+            members = np.einsum("xk,mkn->mxn", coeffs, rows) % p
+            hit = np.zeros((len(sl), n_lines), dtype=bool)
+            hit[np.arange(len(sl))[:, None], column[members @ weights]] = True
+            out[sl] = np.packbits(hit, axis=1, bitorder="little")
+    out.setflags(write=False)
     return out
 
 

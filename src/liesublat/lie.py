@@ -25,6 +25,7 @@ from .linalg import (
     UsageError,
     as_row,
     enumerate_subspaces,
+    line_index,
     null_space,
     rref,
     solve_linear,
@@ -61,7 +62,7 @@ def _jacobi_violation(tensor: np.ndarray, p: int) -> tuple[int, int, int] | None
 class LieAlgebra:
     """A finite-dimensional Lie algebra over GF(p), p in {2, 3, 5, 7}."""
 
-    __slots__ = ("p", "dim", "basis_names", "tensor", "name", "_sha")
+    __slots__ = ("p", "dim", "basis_names", "tensor", "name", "_sha", "_line_brackets")
 
     def __init__(self, p: int, tensor: np.ndarray, basis_names=None, name=None,
                  _validate: bool = True):
@@ -95,6 +96,7 @@ class LieAlgebra:
             raise UsageError("basis_names length must equal dim")
         self.name = name or f"lie({n},{p})"
         self._sha = None
+        self._line_brackets = None
 
     # -- construction -----------------------------------------------------
 
@@ -194,6 +196,16 @@ class LieAlgebra:
             self.tensor.astype(np.int64),
         ) % self.p
         return Subspace.from_vectors(prods.reshape(-1, self.dim), self.dim, self.p)
+
+    def line_brackets(self) -> np.ndarray:
+        """t[x, i, l] = [e_i, x]_l for the representative x of every line
+        (`line_index` order); computed once per algebra, read-only."""
+        if self._line_brackets is None:
+            lines = line_index(self.dim, self.p)[0]
+            t = np.einsum("xj,ijl->xil", lines, self.tensor.astype(np.int64)) % self.p
+            t.setflags(write=False)
+            self._line_brackets = t
+        return self._line_brackets
 
     def is_subalgebra(self, s) -> bool:
         ss = self._space(s)

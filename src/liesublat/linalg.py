@@ -11,7 +11,8 @@ lexicographic order, then the free entries counted as base-p integers
 (first free position most significant).  `batch_subspaces` produces the
 same stream as `enumerate_subspaces` but as a dense array block, which
 is what makes sweeps over millions of subspaces tractable;
-`subspace_stack` holds a whole stream as one cached read-only array.
+`subspace_stack` holds a whole stream as one cached read-only array,
+and `line_index` numbers the lines and maps each vector to its line.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ class Subspace:
     Subspace objects agree iff they are the same set of vectors.
     """
 
-    __slots__ = ("p", "n", "rows", "pivots", "_key", "_bits")
+    __slots__ = ("p", "n", "rows", "pivots", "_key")
 
     def __init__(self, rows: np.ndarray, n: int, p: int, pivots: tuple[int, ...]):
         # rows must already be canonical RREF; use from_vectors otherwise
@@ -265,7 +266,6 @@ class Subspace:
         self.rows = rows
         self.pivots = pivots
         self._key = (p, n, rows.tobytes())
-        self._bits = None
 
     @classmethod
     def from_vectors(cls, vectors, n: int, p: int) -> "Subspace":
@@ -378,22 +378,6 @@ class Subspace:
             return
         for line in enumerate_subspaces(self.dim, self.p, 1):
             yield (line.rows[0].astype(np.int64) @ self.rows.astype(np.int64) % self.p).astype(np.uint8)
-
-    def bits(self) -> int:
-        """Membership bitset: bit index of vector v is sum(v[i] * p^i)."""
-        if self._bits is None:
-            k = self.dim
-            p, n = self.p, self.n
-            coeffs = np.array(
-                list(itertools.product(range(p), repeat=k)), dtype=np.int64
-            ).reshape(p ** k, k)
-            members = coeffs @ self.rows.astype(np.int64) % p if k else np.zeros((1, n), dtype=np.int64)
-            weights = p ** np.arange(n, dtype=np.int64)
-            idx = members @ weights
-            buf = np.zeros(((p ** n) + 7) // 8, dtype=np.uint8)
-            np.bitwise_or.at(buf, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
-            self._bits = int.from_bytes(buf.tobytes(), "little")
-        return self._bits
 
     def to_digit_rows(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self.rows]
@@ -541,3 +525,23 @@ def subspace_stack(n: int, p: int, k: int | None = None) -> np.ndarray:
     out = np.concatenate(blocks)
     out.setflags(write=False)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def line_index(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lines of GF(p)^n as (reps, column).
+
+    reps[j] is the canonical representative (int64) of the j-th line in
+    enumeration order; column[v] is the line holding the nonzero vector
+    whose base-p digits, first coordinate least significant, spell v,
+    and -1 at v = 0.  Cached per (n, p): callers share both arrays,
+    hence read-only.
+    """
+    reps = subspace_stack(n, p, 1)[:, 0].astype(np.int64)
+    column = np.full(p ** n, -1, dtype=np.int64)
+    weights = p ** np.arange(n, dtype=np.int64)
+    for a in range(1, p):
+        column[(a * reps % p) @ weights] = np.arange(len(reps))
+    reps.setflags(write=False)
+    column.setflags(write=False)
+    return reps, column

@@ -21,14 +21,13 @@ re-verify against the definitions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lattice import SubalgebraLattice
 from .lie import LieAlgebra
-from .linalg import ResourceError, Subspace, UsageError, batch_rref, subspace_stack
+from .linalg import ResourceError, Subspace, UsageError, batch_rref, line_index, subspace_stack
 
 DIRECT_SCAN_LIMIT = 4096
 
@@ -249,35 +248,17 @@ def is_semi_modular_lazy(lat, u) -> PredicateReport:
 def line_matrix(algebra: LieAlgebra) -> np.ndarray:
     """Canonical line representatives, in the order line nodes appear
     (`line_node_ids`); one shared read-only int64 array per (dim, p)."""
-    return _line_reps(algebra.dim, algebra.p)
+    return line_index(algebra.dim, algebra.p)[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _line_reps(n: int, p: int) -> np.ndarray:
-    reps = subspace_stack(n, p, 1)[:, 0].astype(np.int64)
-    reps.setflags(write=False)
-    return reps
-
-
-_line_matrix = line_matrix
-
-
-def _line_bracket_tensor(algebra: LieAlgebra, lines: np.ndarray) -> np.ndarray:
-    """t2[x, i, l] = [e_i, x]_l, shared across per-node quasi-ideal scans."""
-    c = algebra.tensor.astype(np.int64)
-    return np.einsum("xj,ijl->xil", lines, c) % algebra.p
-
-
-def _quasi_ideal_check(algebra: LieAlgebra, space: Subspace, lines: np.ndarray,
-                       t2: np.ndarray | None = None):
+def _quasi_ideal_check(algebra: LieAlgebra, space: Subspace):
     """Verdict plus first violating line for [U, Fx] <= U + Fx."""
     p, n = algebra.p, algebra.dim
     if space.dim == 0 or space.dim == n:
         return True, None
+    lines = line_matrix(algebra)
     rows = space.rows.astype(np.int64)
-    if t2 is None:
-        t2 = _line_bracket_tensor(algebra, lines)
-    br = np.einsum("ri,xil->xrl", rows, t2) % p               # [u_r, x]
+    br = np.einsum("ri,xil->xrl", rows, algebra.line_brackets()) % p   # [u_r, x]
     piv = list(space.pivots)
     rho = (br - br[:, :, piv] @ rows) % p                      # residuals mod U
     xi = (lines - lines[:, piv] @ rows) % p                    # x mod U
@@ -304,15 +285,13 @@ def is_quasi_ideal(lat_or_algebra, u) -> PredicateReport:
     if isinstance(lat_or_algebra, SubalgebraLattice):
         lat = lat_or_algebra
         iu = lat.node_id(u)
-        space = lat.nodes[iu]
-        algebra = lat.algebra
-        verdict, bad = _quasi_ideal_check(algebra, space, _line_matrix(algebra))
+        verdict, bad = _quasi_ideal_check(lat.algebra, lat.nodes[iu])
         return _report(lat, iu, "quasi_ideal", verdict, None if bad is None else {"x": bad})
     algebra = lat_or_algebra
     space = u if isinstance(u, Subspace) else Subspace.from_vectors(list(u), algebra.dim, algebra.p)
     if not algebra.is_subalgebra(space):
         raise UsageError("quasi-ideal check expects a subalgebra")
-    verdict, bad = _quasi_ideal_check(algebra, space, _line_matrix(algebra))
+    verdict, bad = _quasi_ideal_check(algebra, space)
     return PredicateReport(
         algebra=algebra.name,
         subalgebra=space.to_digit_rows(),
@@ -350,13 +329,11 @@ def is_quasi_ideal_bruteforce(algebra: LieAlgebra, u) -> bool:
 
 
 def quasi_ideal_inventory(lat) -> tuple[np.ndarray, dict[int, dict]]:
-    lines = _line_matrix(lat.algebra)
-    t2 = _line_bracket_tensor(lat.algebra, lines)
     n = len(lat.nodes)
     out = np.zeros(n, dtype=bool)
     witnesses: dict[int, dict] = {}
     for i, s in enumerate(lat.nodes):
-        verdict, bad = _quasi_ideal_check(lat.algebra, s, lines, t2)
+        verdict, bad = _quasi_ideal_check(lat.algebra, s)
         out[i] = verdict
         if bad is not None:
             witnesses[i] = {"x": bad}
@@ -380,39 +357,40 @@ def ideal_line_flags(lat) -> dict[int, bool]:
 
 
 def quasi_line_flags(lat) -> dict[int, bool]:
-    lines = _line_matrix(lat.algebra)
-    t2 = _line_bracket_tensor(lat.algebra, lines)
-    out = {}
-    for i in line_node_ids(lat):
-        verdict, _ = _quasi_ideal_check(lat.algebra, lat.nodes[int(i)], lines, t2)
-        out[int(i)] = verdict
-    return out
+    return {
+        int(i): _quasi_ideal_check(lat.algebra, lat.nodes[int(i)])[0]
+        for i in line_node_ids(lat)
+    }
 
 
-def lines_of_node(lat, iu) -> list[int]:
-    s = lat.nodes[iu]
-    out = []
-    for rep in s.line_reps():
-        out.append(lat.index[Subspace.from_vectors([rep], s.n, s.p).key])
-    return out
+def _bad_lines(lat, flags: dict[int, bool]) -> np.ndarray:
+    """Line-incidence mask (column order) of the lines whose flag is False."""
+    return np.array([not flags[int(i)] for i in line_node_ids(lat)], dtype=bool)
 
 
-def is_strong_ideal(lat, u, _flags=None) -> PredicateReport:
+def strong_inventory(lat, flags: dict[int, bool]) -> np.ndarray:
+    """Per node: it contains no line whose flag (`ideal_line_flags` or
+    `quasi_line_flags`) is False, i.e. it is a strong ideal or strong
+    quasi-ideal respectively."""
+    bad = np.packbits(_bad_lines(lat, flags), bitorder="little")
+    return ~(lat.incidence & bad).any(axis=1)
+
+
+def _strong_report(lat, u, flags, predicate) -> PredicateReport:
     iu = lat.node_id(u)
-    flags = _flags if _flags is not None else ideal_line_flags(lat)
-    for line in lines_of_node(lat, iu):
-        if not flags[line]:
-            return _report(lat, iu, "strong_ideal", False, {"line": node_rows(lat, line)})
-    return _report(lat, iu, "strong_ideal", True)
+    bad = lat.line_rows(iu) & _bad_lines(lat, flags)
+    if not bad.any():
+        return _report(lat, iu, predicate, True)
+    line = int(line_node_ids(lat)[bad.argmax()])
+    return _report(lat, iu, predicate, False, {"line": node_rows(lat, line)})
 
 
-def is_strong_quasi_ideal(lat, u, _flags=None) -> PredicateReport:
-    iu = lat.node_id(u)
-    flags = _flags if _flags is not None else quasi_line_flags(lat)
-    for line in lines_of_node(lat, iu):
-        if not flags[line]:
-            return _report(lat, iu, "strong_quasi_ideal", False, {"line": node_rows(lat, line)})
-    return _report(lat, iu, "strong_quasi_ideal", True)
+def is_strong_ideal(lat, u) -> PredicateReport:
+    return _strong_report(lat, u, ideal_line_flags(lat), "strong_ideal")
+
+
+def is_strong_quasi_ideal(lat, u) -> PredicateReport:
+    return _strong_report(lat, u, quasi_line_flags(lat), "strong_quasi_ideal")
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +520,7 @@ def replay_witness(lat, report: PredicateReport) -> bool:
         line = Subspace.from_vectors(w["line"], n, p)
         if report.predicate == "strong_ideal":
             return not lat.algebra.is_ideal(line)
-        verdict, _ = _quasi_ideal_check(lat.algebra, line, _line_matrix(lat.algebra))
+        verdict, _ = _quasi_ideal_check(lat.algebra, line)
         return not verdict
     if report.predicate == "one_and_half_generation":
         il = lat.node_id(Subspace.from_vectors([w["x"]], n, p))

@@ -66,6 +66,16 @@ def test_digest_deterministic_and_ignores_timings():
     assert report_digest(a) == report_digest(b)
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("K-example", "ef419267e29fa2916634a347308c29f99bc8f3ee66b37fff2b9fe943db3e5ed0"),
+    ("witt", "acb527e8c1e4827660698b4d99be733fc784d8f9a3548d69df250ec156f742fe"),
+], ids=["K-example", "witt"])
+def test_default_config_digests_are_pinned(name, digest):
+    # a change to either digest has to be deliberate: update the pin and
+    # say why in CHANGES.md
+    assert report_digest(run_suite(name, HarnessConfig())) == digest
+
+
 def test_failing_assertion_carries_details():
     # run the psl3 suite on demand in acceptance; here just verify the
     # report structure invariant on a small suite

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from liesublat.catalog import (
     abelian,
     almost_abelian,
     heisenberg,
+    random_solvable,
     simple3_char2,
     sl2,
     witt,
@@ -89,6 +91,22 @@ def test_every_node_is_subalgebra_and_rejects_rest(lat_K):
             assert K.is_subalgebra(s)
         else:
             assert not K.is_subalgebra(s)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [simple3_char2(), sl2(3), heisenberg(3), random_solvable(4, 3, seed=1)],
+    ids=["K", "sl2(3)", "heisenberg(3)", "random_solvable(4,3,1)"],
+)
+def test_incidence_matches_line_containment(algebra):
+    # definition: column j is the j-th line of GF(p)^n in enumeration order
+    lat = SubalgebraLattice.build(algebra)
+    lines = list(enumerate_subspaces(algebra.dim, algebra.p, 1))
+    rows = lat.line_rows()
+    assert rows.shape == (len(lat), len(lines))
+    for i, node in enumerate(lat.nodes):
+        assert [line.is_subspace_of(node) for line in lines] == rows[i].tolist()
+    assert len(set(lat.line_keys)) == len(lat)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +202,28 @@ def test_tables_agree_with_lazy_queries(lat_sl2_3):
             expected = _maximal_oracle(lat_sl2_3, a, b)
             if expected is not None:
                 assert bool(t.maximal[a, b]) == expected
+
+
+@pytest.mark.parametrize("algebra", [almost_abelian(4, 3), sl2(5)],
+                         ids=["almost_abelian(4,3)", "sl2(5)"])
+def test_lazy_queries_agree_with_tables(algebra):
+    # the first lattice never builds tables, so every query takes its lazy branch
+    lazy = SubalgebraLattice.build(algebra)
+    t = SubalgebraLattice.build(algebra).tables()
+    n = len(lazy)
+    maxima = np.nonzero(t.maximal[:, lazy.top_id])[0].tolist()
+    assert lazy.maximal_subalgebras() == maxima
+    assert lazy.frattini() == functools.reduce(lambda x, y: t.meet[x, y], maxima)
+    for a in range(n):
+        assert lazy.induced_ids(a).tolist() == np.nonzero(t.contain[:, a])[0].tolist()
+        for b in range(n):
+            assert lazy.meet(a, b) == t.meet[a, b]
+            if a != b and t.contain[a, b]:
+                assert lazy.is_maximal_in(a, b) == t.maximal[a, b]
+    rng = np.random.default_rng(3)
+    for a, b in rng.integers(0, n, size=(300, 2)):
+        assert lazy.join(int(a), int(b)) == t.join[a, b]
+    assert lazy._tables is None
 
 
 def test_tables_on_medium_lattice():

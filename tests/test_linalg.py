@@ -339,12 +339,3 @@ def test_guards():
         list(enumerate_subspaces(5, 5, None, budget=100))
     with pytest.raises(UsageError):
         count_subspaces(4, 4)
-
-
-def test_bits_agree_with_vectors():
-    s = subspace_from_vectors([(1, 0, 2), (0, 1, 1)], 3, 3)
-    weights = 3 ** np.arange(3)
-    expected = 0
-    for v in enumerate_vectors(s):
-        expected |= 1 << int(v @ weights)
-    assert s.bits() == expected
