@@ -119,7 +119,6 @@ class AlgebraAnalysis:
         self.gen15_wit = gen.witness
         if self.n_nodes > 600:
             lat._tables = None
-            lat._join_memo.clear()
 
     def _line_flags(self):
         self.line_ids = P.line_node_ids(self.lat)

@@ -4,8 +4,10 @@ The builder sweeps every subspace of GF(p)^n in the canonical
 enumeration order and keeps the bracket-closed ones, so the node list
 is exactly the set of subalgebras, deterministically ordered by
 (dimension, pivot pattern, free entries).  The sweep is vectorised per
-pivot-pattern shard; the worst fixture in range (GF(3)^7, about 2.05
-million candidate subspaces) takes well under a minute.
+pivot-pattern shard and tests one basis pair at a time, each only on
+the candidates that passed the earlier pairs; the worst fixture in
+range (psl3 over GF(3), 2.05 million candidates) builds in about 1.2 s
+on one 2-core machine, single-threaded.
 
 Every lattice carries one line-incidence index: a node is the union of
 the lines it contains, so its set of lines (a packed bit row, one
@@ -51,20 +53,33 @@ class CacheError(RuntimeError):
 
 def _closed_mask(tensor: np.ndarray, p: int, mats: np.ndarray, pattern) -> np.ndarray:
     """Which candidates (RREF bases sharing one pivot pattern) are
-    bracket-closed; checks all basis pairs r < s."""
+    bracket-closed.
+
+    Basis pairs (r, s), r < s, are checked one at a time, each only on
+    the candidates that passed every earlier pair.  Per row r, one
+    product against the tensor gives e[m, j] = [b_r, e_j] for the
+    survivors, and [b_r, b_s] = b_s @ e[m].  A bracket lies in the span
+    iff it equals the combination of the basis rows with its entries at
+    the pivot columns as coefficients, mod p.
+    """
     m, k, n = mats.shape
-    if k < 2:
-        return np.ones(m, dtype=bool)
-    b = mats.astype(np.int64)
-    c = tensor.astype(np.int64)
-    # e[m, r, j, l] = sum_i b[m,r,i] c[i,j,l]
-    e = np.einsum("mri,ijl->mrjl", b, c)
-    iu, il = np.triu_indices(k, 1)
-    # t[m, q, l] = [b_r, b_s]_l for the q-th pair (r, s)
-    t = np.einsum("mqjl,mqj->mql", e[:, iu], b[:, il]) % p
-    coef = t[:, :, list(pattern)]
-    recon = np.einsum("mqt,mtn->mqn", coef, b) % p
-    return (t == recon).reshape(m, -1).all(axis=1)
+    c = tensor.reshape(n, n * n).astype(np.float32)
+    b = mats.astype(np.float32)
+    bi = mats.astype(np.int32)
+    alive = np.arange(m)
+    pivots = list(pattern)
+    for r in range(k - 1):
+        # float32 is exact: entries are below p, so every sum stays below
+        # (p-1)^3 n^2 <= 13,824 (p = 7, n = 8) < 2^24
+        e = (b[:, r] @ c).reshape(-1, n, n)
+        for s in range(r + 1, k):
+            t = np.matmul(b[:, None, s], e)[:, 0].astype(np.int32) % p
+            recon = np.matmul(t[:, None, pivots], bi)[:, 0] % p
+            keep = (t == recon).all(axis=1)
+            alive, b, bi, e = alive[keep], b[keep], bi[keep], e[keep]
+    ok = np.zeros(m, dtype=bool)
+    ok[alive] = True
+    return ok
 
 
 def _sweep_shard(tensor, p, n, kk, pattern, count):
@@ -91,7 +106,6 @@ class SubalgebraLattice:
         self.zero_id = 0
         self.top_id = len(nodes) - 1
         self._tables: LatticeTables | None = None
-        self._join_memo: dict = {}
         top = nodes[self.top_id]
         if nodes[0].dim != 0 or top.dim != algebra.dim:
             raise UsageError("lattice must contain the zero subspace and the algebra")
@@ -129,8 +143,8 @@ class SubalgebraLattice:
             blocks = [_sweep_shard(algebra.tensor, p, n, *sh) for sh in shards]
         nodes: list[Subspace] = []
         for (kk, pattern, _), block in zip(shards, blocks):
-            for i in range(block.shape[0]):
-                nodes.append(Subspace.from_rref(block[i], n, p))
+            block.setflags(write=False)
+            nodes.extend(Subspace(rows, n, p, pattern) for rows in block)
             if node_limit is not None and len(nodes) > node_limit:
                 raise ResourceError(
                     f"lattice exceeds node limit {node_limit}"
@@ -193,28 +207,14 @@ class SubalgebraLattice:
         return got
 
     def join(self, a, b) -> int:
-        ia, ib = self.node_id(a), self.node_id(b)
-        if ia == ib:
-            return ia
-        key = (ia, ib) if ia < ib else (ib, ia)
-        got = self._join_memo.get(key)
-        if got is not None:
-            return got
-        if self._le(ia, ib):
-            result = ib
-        elif self._le(ib, ia):
-            result = ia
-        else:
-            gen = self.algebra.generated_subalgebra(
-                self.nodes[ia].sum(self.nodes[ib])
-            )
-            result = self.index.get(gen.key)
-            if result is None:
-                raise RuntimeError("join of two nodes is missing from the lattice")
-        if len(self._join_memo) > 1 << 21:
-            self._join_memo.clear()
-        self._join_memo[key] = result
-        return result
+        """The lowest-id node containing both: ids ascend with dimension,
+        so it is the unique minimal upper bound."""
+        ia, ib = sorted((self.node_id(a), self.node_id(b)))
+        if ia == self.zero_id:
+            return ib
+        above = self._above(ib)
+        row = self.incidence[ia]
+        return int(above[((self.incidence[above] & row) == row).all(axis=1)][0])
 
     # -- covering relation -------------------------------------------------------
 

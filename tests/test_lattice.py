@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from liesublat.catalog import (
     abelian,
     almost_abelian,
     heisenberg,
+    psl3_char3,
     random_solvable,
     simple3_char2,
     sl2,
@@ -16,6 +18,7 @@ from liesublat.catalog import (
 from liesublat.lattice import (
     CacheError,
     SubalgebraLattice,
+    _closed_mask,
     build_lattice,
     load_cache,
     save_cache,
@@ -24,8 +27,10 @@ from liesublat.linalg import (
     ResourceError,
     Subspace,
     UsageError,
+    batch_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
+    subspace_shards,
 )
 
 
@@ -91,6 +96,55 @@ def test_every_node_is_subalgebra_and_rejects_rest(lat_K):
             assert K.is_subalgebra(s)
         else:
             assert not K.is_subalgebra(s)
+
+
+def _pair_closed(tensor, p, mats):
+    """closed[m, q]: the q-th basis pair (r, s), r < s, of candidate m
+    brackets into its span, by definition."""
+    n = tensor.shape[0]
+    out = []
+    for rows in mats:
+        space = Subspace.from_vectors(rows, n, p)
+        out.append([
+            space.contains(np.einsum("i,j,ijl->l", rows[r].astype(np.int64),
+                                     rows[s].astype(np.int64), tensor) % p)
+            for r, s in itertools.combinations(range(len(rows)), 2)
+        ])
+    return np.array(out, dtype=bool).reshape(len(mats), -1)
+
+
+def _kernel_cases():
+    # (k, p, n, tensor, pattern, start, stop): seeded sparse tensors, so
+    # that candidates pass some pairs and fail others, and a seeded block
+    # of the largest pivot pattern
+    rng = np.random.default_rng(11)
+    for k in range(2, 6):
+        for p in (2, 3, 5, 7):
+            n = k + 2
+            tensor = rng.integers(1, p, size=(n, n, n)) * (rng.random((n, n, n)) < 0.03)
+            _, pattern, count = next(subspace_shards(n, p, k))
+            start = int(rng.integers(0, max(count - 400, 0) + 1))
+            yield k, p, n, tensor, pattern, start, min(start + 400, count)
+    # float32 exactness bound: n = 8, p = 7, every entry p - 1, candidates
+    # from the end of a pattern, where the free entries are largest
+    tensor = np.full((8, 8, 8), 6)
+    for k in (2, 3, 4):
+        _, pattern, count = next(subspace_shards(8, 7, k))
+        yield k, 7, 8, tensor, pattern, count - 400, count
+
+
+def test_closed_mask_matches_definition():
+    later_fail = closed_all = 0
+    for k, p, n, tensor, pattern, start, stop in _kernel_cases():
+        mats = batch_subspaces(n, p, pattern, start, stop)
+        closed = _pair_closed(tensor, p, mats)
+        got = _closed_mask(tensor.astype(np.uint8), p, mats, pattern)
+        assert got.tolist() == closed.all(axis=1).tolist(), (k, p, n, pattern, start)
+        later_fail += int((closed[:, 0] & ~closed.all(axis=1)).sum())
+        closed_all += int(closed.all(axis=1).sum())
+    # some candidate passes pair (0, 1) and fails a later pair, so the
+    # kernel's survivor filtering is exercised, and some pass every pair
+    assert later_fail > 0 and closed_all > 0
 
 
 @pytest.mark.parametrize(
@@ -226,6 +280,21 @@ def test_lazy_queries_agree_with_tables(algebra):
     assert lazy._tables is None
 
 
+@pytest.mark.parametrize("algebra", [sl2(5), almost_abelian(4, 3)],
+                         ids=["sl2(5)", "almost_abelian(4,3)"])
+def test_join_matches_generated_subalgebra(algebra):
+    # definition: the join is the subalgebra generated by the sum
+    lat = SubalgebraLattice.build(algebra)
+    rng = np.random.default_rng(5)
+    incomparable = 0
+    for a, b in rng.integers(0, len(lat), size=(300, 2)):
+        sa, sb = lat.nodes[a], lat.nodes[b]
+        gen = algebra.generated_subalgebra(sa.sum(sb))
+        assert lat.nodes[lat.join(int(a), int(b))] == gen
+        incomparable += not (sa.is_subspace_of(sb) or sb.is_subspace_of(sa))
+    assert incomparable > 100
+
+
 def test_tables_on_medium_lattice():
     lat = SubalgebraLattice.build(almost_abelian(4, 3))
     t = lat.tables()
@@ -267,6 +336,15 @@ def test_build_deterministic_and_parallel_identical():
     par = SubalgebraLattice.build(L, threads=2)
     assert [s.key for s in one.nodes] == [s.key for s in two.nodes]
     assert [s.key for s in one.nodes] == [s.key for s in par.nodes]
+
+
+def test_psl3_lattice_pinned():
+    # digest of every node's rows, recorded with the earlier kernel that
+    # tested all basis pairs of every candidate at once
+    lat = SubalgebraLattice.build(psl3_char3())
+    assert lat.counts_by_dim() == {0: 1, 1: 1093, 2: 3640, 3: 11011, 4: 364, 5: 364, 7: 1}
+    digest = hashlib.sha256(b"".join(s.rows.tobytes() for s in lat.nodes)).hexdigest()
+    assert digest == "189243fdc69324bc84a34ba575824dac571bcd6995bfc93ca8a36517e50c596b"
 
 
 def test_budget_error_reports_estimate():
