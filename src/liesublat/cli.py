@@ -25,7 +25,7 @@ from .harness import (
     run_suite,
     suite_names,
 )
-from .lattice import CacheError, SubalgebraLattice, build_lattice, load_cache, save_cache
+from .lattice import TABLE_NODE_LIMIT, CacheError, build_lattice, load_cache, save_cache
 from .lie import JacobiError, LieAlgebra
 from .linalg import ResourceError, Subspace, UsageError
 
@@ -150,9 +150,9 @@ def cmd_analyze(args) -> int:
     if unknown:
         raise UsageError(f"unknown predicates {unknown}; choose from {_ANALYZE_PREDICATES}")
     needs_tables = {"modular", "um", "lm", "sm", "modular_star"} & set(wanted)
-    if needs_tables and not lat.has_tables(args.table_limit):
+    if needs_tables and not lat.has_tables():
         raise ResourceError(
-            f"{len(lat)} nodes exceed the dense-table limit {args.table_limit}; "
+            f"{len(lat)} nodes exceed the dense-table limit {TABLE_NODE_LIMIT}; "
             "only quasi_ideal/strong_* are available at this size"
         )
     columns = {}
@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         max_subspaces=args.max_subspaces,
         time_budget_secs=args.time_budget_secs,
-        threads=args.threads or 1,
+        threads=args.threads,
     )
     names = suite_names() if args.suite == "all" else [args.suite]
     worst = 0
@@ -285,6 +285,10 @@ def cmd_enumerate(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _thread_count(text: str) -> int:
+    return int(text) or os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="liesublat",
@@ -293,54 +297,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, algebra=True):
+    def common(sp, algebra=False, shape=False, sweep=False):
         if algebra:
             sp.add_argument("--algebra", help="catalog algebra name")
             sp.add_argument("--file", help="algebra JSON file")
+        if algebra or shape:
             sp.add_argument("--p", type=int, help="field size parameter")
             sp.add_argument("--dim", type=int, help="dimension parameter")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--threads", type=int, default=0,
-                        help="worker threads (0 = hardware count)")
-        sp.add_argument("--max-subspaces", type=int, default=4_000_000,
-                        dest="max_subspaces")
-        sp.add_argument("--time-budget-secs", type=float, default=600.0,
-                        dest="time_budget_secs")
-        sp.add_argument("--table-limit", type=int, default=4096, dest="table_limit")
+        if sweep:
+            sp.add_argument("--threads", type=_thread_count, default="0",
+                            help="worker threads (0 = hardware count)")
+            sp.add_argument("--max-subspaces", type=int, default=4_000_000,
+                            dest="max_subspaces")
 
     sp = sub.add_parser("catalog", help="list algebras, suites and omissions")
-    common(sp, algebra=False)
+    common(sp)
     sp.set_defaults(func=cmd_catalog)
 
     sp = sub.add_parser("analyze", help="predicate verdicts per subalgebra")
-    common(sp)
+    common(sp, algebra=True, sweep=True)
     sp.add_argument("--predicates", default="modular,sm,quasi_ideal")
     sp.add_argument("--node-dim", type=int, default=None,
                     help="only list nodes of this dimension")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("lattice", help="build (and cache) a subalgebra lattice")
-    common(sp)
+    common(sp, algebra=True, sweep=True)
     sp.add_argument("--cache", help="cache file path (default: cache dir)")
     sp.set_defaults(func=cmd_lattice)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp, algebra=False)
+    common(sp, sweep=True)
+    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--time-budget-secs", type=float, default=600.0,
+                    dest="time_budget_secs")
     sp.add_argument("--suite", required=True,
                     help="suite name or 'all'; see `liesublat catalog`")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("enumerate", help="count structure tensors with Jacobi filter")
-    common(sp)
+    common(sp, shape=True)
     sp.set_defaults(func=cmd_enumerate)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads == 0:
-        args.threads = os.cpu_count() or 1
     try:
         return args.func(args)
     except (SchemaError, JacobiError) as err:

@@ -4,7 +4,8 @@ enumerated small tensor universes, and seeded random solvable samples.
 Each suite binds algebras, their subalgebra lattices and the lattice
 predicates into a list of assertions and emits a machine-readable
 SuiteReport.  Reports are deterministic for a fixed config and seed;
-`report_digest` hashes everything except wall-clock timings.
+`report_digest` hashes everything except wall-clock timings and the
+config fields that only change how a suite runs (`RUN_FIELDS`).
 
 A claim's status is "pass" or "fail" when the underlying statement is
 asserted, and "reported" for computations whose outcome is recorded but
@@ -13,6 +14,7 @@ deliberately not asserted (finite-field cases the theory leaves open).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -42,7 +44,6 @@ class HarnessConfig:
     enum_cells: tuple = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3))
     include_psl3: bool = True
     max_subspaces: int = 4_000_000
-    table_limit: int = 4096
     time_budget_secs: float = 600.0
     threads: int = 1
 
@@ -55,6 +56,11 @@ class HarnessConfig:
 
 
 DEFAULT_CONFIG = HarnessConfig()
+
+#: config fields that change how a suite runs but not what it finds; a
+#: report shows them beside its timings, outside the digest (a run cut
+#: short by the time budget says so in `truncated`, which is hashed)
+RUN_FIELDS = ("threads", "time_budget_secs")
 
 #: results the suites deliberately do not chase: their hypotheses have
 #: no instances over the finite prime fields this library supports.
@@ -72,8 +78,18 @@ OMITTED_TOPICS = {
 # ---------------------------------------------------------------------------
 
 class AlgebraAnalysis:
-    """Everything the suites need about one algebra, extracted while the
-    dense lattice tables are hot; large tables are dropped afterwards."""
+    """Everything the suites need about one algebra, computed once.
+
+    Every algebra gets the stages that read only the structure tensor
+    and the line incidence: quasi-ideal and ideal inventories, the mu
+    test, line and strong flags, atom scalars, the maximal subalgebras
+    (`maxima`, `maximal_top`) with the Frattini subalgebra, and
+    one-and-a-half generation.  The stages that read the modular and sm
+    inventories or the dense tables run only when the lattice has tables
+    (at most `TABLE_NODE_LIMIT` nodes); without them (`heavy`, psl3)
+    `modular` and `sm` are not set and `core_free`, `local` and `star`
+    stay empty.  Large tables are dropped afterwards.
+    """
 
     def __init__(self, algebra: LieAlgebra, config: HarnessConfig):
         self.algebra = algebra
@@ -86,39 +102,38 @@ class AlgebraAnalysis:
         self.build_secs = time.monotonic() - t0
         self.lat = lat
         self.n_nodes = len(lat)
-        self.heavy = not lat.has_tables(config.table_limit)
+        self.heavy = not lat.has_tables()
         self.solvable = algebra.is_solvable()
         self.flags = algebra.structural_flags()
         self.derived = algebra.bracket_spaces(algebra.full_space(), algebra.full_space())
-        if self.heavy:
-            self._heavy_analysis()
-        else:
-            self._table_analysis(config)
-
-    # -- dense path ---------------------------------------------------------
-
-    def _table_analysis(self, config):
-        lat = self.lat
-        self.modular, self.modular_wit = P.modular_inventory(lat)
-        self.um, self.lm, self.sm_wit = P.sm_inventory(lat)
-        self.sm = self.um & self.lm
         self.quasi, self.quasi_wit = P.quasi_ideal_inventory(lat)
         self.ideal = P.ideal_inventory(lat)
         self.mu = P.is_mu_algebra(lat)
-        t = lat.tables()
-        self.maximal_top = t.maximal[:, lat.top_id].copy()
-        self.frattini_id = lat.frattini()
         self._line_flags()
         self._strong_flags()
         self._atom_scalars()
-        self._core_free_sm()
-        self._local_lemma(t)
-        self._modular_star_checks()
+        t0 = time.monotonic()
+        self.maxima = lat.maximal_subalgebras()
+        self.maximal_secs = time.monotonic() - t0
+        self.maximal_top = np.zeros(self.n_nodes, dtype=bool)
+        self.maximal_top[self.maxima] = True
+        self.frattini_id = functools.reduce(lat.meet, self.maxima)
         gen = P.has_one_and_half_generation(lat)
         self.gen15 = gen.verdict
         self.gen15_wit = gen.witness
-        if self.n_nodes > 600:
-            lat._tables = None
+        self.core_free: dict[int, bool] = {}
+        self.local: dict[int, dict] = {}
+        self.star: dict[int, bool] = {}
+        if lat.has_tables():
+            self.modular, self.modular_wit = P.modular_inventory(lat)
+            self.um, self.lm, self.sm_wit = P.sm_inventory(lat)
+            self.sm = self.um & self.lm
+            self._core_free_sm()
+            self._local_lemma(lat.tables())
+            self._modular_star_checks()
+            if self.n_nodes > 600:
+                lat._tables = None
+        self.quasi_not_sm = self._quasi_not_sm()
 
     def _line_flags(self):
         self.line_ids = P.line_node_ids(self.lat)
@@ -140,7 +155,6 @@ class AlgebraAnalysis:
             self.atom_scalar[int(i)] = self.algebra.acts_as_scalar(rep, self.derived)
 
     def _core_free_sm(self):
-        self.core_free: dict[int, bool] = {}
         for u in np.nonzero(self.sm)[0]:
             self.core_free[int(u)] = (
                 self.algebra.core(self.lat.nodes[int(u)]).dim == 0
@@ -152,7 +166,6 @@ class AlgebraAnalysis:
         lat = self.lat
         jt, mx = t.join, t.maximal
         lines = self.line_ids
-        self.local: dict[int, dict] = {}
         for u in np.nonzero(self.sm)[0]:
             u = int(u)
             if u == lat.top_id:
@@ -184,32 +197,23 @@ class AlgebraAnalysis:
         """Prop-style check: a proper quasi-ideal that is modular* must
         be a strong quasi-ideal, so modular* only needs computing for
         quasi-ideals that fail strong quasi-ideality."""
-        self.star: dict[int, bool] = {}
         for u in np.nonzero(self.quasi & ~self.strong_quasi)[0]:
             u = int(u)
             if u == self.lat.top_id:
                 continue
             self.star[u] = P.is_modular_star(self.lat, u).verdict
 
-    # -- heavy path (no dense tables; currently only psl3 needs it) ---------
-
-    def _heavy_analysis(self):
+    def _quasi_not_sm(self) -> int | None:
+        """The first proper quasi-ideal that is not semi-modular, if any:
+        read from the sm inventory, or scanned node by node without one."""
         lat = self.lat
-        self.quasi, self.quasi_wit = P.quasi_ideal_inventory(lat)
-        self.ideal = P.ideal_inventory(lat)
-        self.mu = P.is_mu_algebra(lat)
-        self._line_flags()
-        self._strong_flags()
-        # semi-modularity is only evaluated where suites need it
-        self.sm_checks: dict[int, bool] = {}
         for u in np.nonzero(self.quasi)[0]:
             u = int(u)
             if u in (lat.zero_id, lat.top_id):
                 continue
-            self.sm_checks[u] = P.is_semi_modular_lazy(lat, u).verdict
-        gen = P.has_one_and_half_generation(lat)
-        self.gen15 = gen.verdict
-        self.gen15_wit = gen.witness
+            if not (P.is_semi_modular(lat, u).verdict if self.heavy else self.sm[u]):
+                return u
+        return None
 
 
 class HarnessContext:
@@ -350,6 +354,7 @@ class SuiteReport:
     assertions: list[dict]
     timings: dict
     truncated: str | None = None
+    run: dict = field(default_factory=dict)   # the config's RUN_FIELDS
 
     @property
     def passed(self) -> bool:
@@ -364,6 +369,7 @@ class SuiteReport:
         }
         if include_timings:
             doc["timings"] = self.timings
+            doc["run"] = self.run
         return doc
 
 
@@ -383,7 +389,7 @@ def _universe_doc(config, algebras) -> dict:
         "description": f"{len(algebras)} algebras",
         "algebras": sorted(a.name for a in algebras),
         "seed": config.seed,
-        "config": config.to_json(),
+        "config": {k: v for k, v in config.to_json().items() if k not in RUN_FIELDS},
     }
 
 
@@ -539,16 +545,11 @@ def _suite_psl3(config) -> SuiteReport:
         rep.truncated = "time budget exceeded after structure checks"
         return rep
 
-    t0 = time.monotonic()
-    maxima = lat.maximal_subalgebras()
-    timings["maximal_secs"] = time.monotonic() - t0
+    maxima = an.maxima
+    timings["maximal_secs"] = an.maximal_secs
     _claim(claims, "maximal-count", True,
            {"count": len(maxima), "dims": sorted({int(lat.dims[m]) for m in maxima})},
            status="reported")
-    if time.monotonic() > deadline:
-        rep = report()
-        rep.truncated = "time budget exceeded after maximal enumeration"
-        return rep
 
     # no maximal subalgebra is semi-modular: every maximal M is um for free
     # (all joins with outside nodes hit the top, which covers M), so refute
@@ -646,15 +647,9 @@ def _suite_sm_implies_local(config) -> SuiteReport:
     checked = 0
     for an in analyses:
         # quasi-ideals are always semi-modular, solvable or not
-        if an.heavy:
-            for u, sm_ok in an.sm_checks.items():
-                if not sm_ok:
-                    quasi_not_sm.append({"algebra": an.name, "node": P.node_rows(an.lat, u)})
-            continue
-        mism = an.quasi & ~an.sm
-        if mism.any():
+        if an.quasi_not_sm is not None:
             quasi_not_sm.append(
-                {"algebra": an.name, "node": P.node_rows(an.lat, int(mism.argmax()))}
+                {"algebra": an.name, "node": P.node_rows(an.lat, an.quasi_not_sm)}
             )
         for u, entry in an.local.items():
             checked += 1
@@ -686,8 +681,7 @@ def _is_K_case(an, u) -> bool:
     subalgebra (necessarily the unique one-dimensional quasi-ideal)."""
     if an.algebra.p != 2 or an.algebra.dim != 3 or not an.flags.is_simple:
         return False
-    fr = getattr(an, "frattini_id", None)
-    return fr is not None and u == fr and int(an.lat.dims[u]) == 1
+    return u == an.frattini_id and int(an.lat.dims[u]) == 1
 
 
 def _suite_strong_quasi_ideal(config) -> SuiteReport:
@@ -715,7 +709,7 @@ def _suite_strong_quasi_ideal(config) -> SuiteReport:
                 continue
             tri_bad.append({"algebra": an.name, "node": P.node_rows(an.lat, u)})
         # a proper quasi-ideal that is modular* must be a strong quasi-ideal
-        for u, star in getattr(an, "star", {}).items():
+        for u, star in an.star.items():
             if star and not an.strong_quasi[u]:
                 star_bad.append({"algebra": an.name, "node": P.node_rows(an.lat, u)})
     claims = []
@@ -952,7 +946,9 @@ def run_suite(name: str, config: HarnessConfig | None = None) -> SuiteReport:
     entry = SUITES.get(name)
     if entry is None:
         raise UsageError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    return entry[0](config)
+    report = entry[0](config)
+    report.run = {k: getattr(config, k) for k in RUN_FIELDS}
+    return report
 
 
 def suite_names() -> list[str]:

@@ -11,12 +11,16 @@ on one 2-core machine, single-threaded.
 
 Every lattice carries one line-incidence index: a node is the union of
 the lines it contains, so its set of lines (a packed bit row, one
-column per line of GF(p)^n in enumeration order) identifies it.  Meets
-are ANDs of line sets and containment is a subset test, which answers
-every membership question.  Small and medium lattices additionally
-expose dense containment, join, meet and cover tables (`tables()`),
-which is what makes whole-lattice predicate scans cheap; large lattices
-answer the same queries lazily from the incidence.
+column per line of GF(p)^n in enumeration order) identifies it.  Every
+point query reads that index and nothing else, at every lattice size:
+meets are ANDs of line sets, containment is a subset test, a join is
+the lowest-id container of both operands, and maximality and the
+maximal subalgebras come from subset tests between rows.
+
+Lattices of at most `TABLE_NODE_LIMIT` nodes also expose dense n x n
+containment, join, meet and cover tables (`tables()`).  Only the
+whole-lattice predicate scans (the modular and semi-modular
+inventories, modular*) read them.
 """
 
 from __future__ import annotations
@@ -122,7 +126,6 @@ class SubalgebraLattice:
         algebra: LieAlgebra,
         budget: int = DEFAULT_SUBSPACE_BUDGET,
         threads: int | None = None,
-        node_limit: int | None = None,
     ) -> "SubalgebraLattice":
         n, p = algebra.dim, algebra.p
         total = count_subspaces(n, p)
@@ -145,10 +148,6 @@ class SubalgebraLattice:
         for (kk, pattern, _), block in zip(shards, blocks):
             block.setflags(write=False)
             nodes.extend(Subspace(rows, n, p, pattern) for rows in block)
-            if node_limit is not None and len(nodes) > node_limit:
-                raise ResourceError(
-                    f"lattice exceeds node limit {node_limit}"
-                )
         return cls(algebra, nodes)
 
     def __len__(self):
@@ -226,8 +225,6 @@ class SubalgebraLattice:
         da, db = int(self.dims[ia]), int(self.dims[ib])
         if db == da + 1:
             return True
-        if self._tables is not None:
-            return bool(self._tables.maximal[ia, ib])
         if da == 0:
             return db == 1  # every line is a node, so anything bigger has one
         above = self._above(ia)
@@ -240,23 +237,32 @@ class SubalgebraLattice:
         return self.is_maximal_in(a, b)
 
     def maximal_subalgebras(self) -> list[int]:
-        top = self.top_id
-        if self._tables is not None:
-            return [int(i) for i in np.nonzero(self._tables.maximal[:, top])[0]]
+        """ids of the maximal proper subalgebras, ascending.
+
+        One pass over the dimension classes, largest first: a proper node
+        is maximal iff its line set lies inside none of the maxima found
+        in the larger classes, since every proper node above it lies in
+        one of those.
+        """
+        words = -(-self.incidence.shape[1] // 8)
+        rows = np.zeros((len(self.nodes), 8 * words), dtype=np.uint8)
+        rows[:, : self.incidence.shape[1]] = self.incidence
+        rows = rows.view(np.uint64)
+        outside = ~rows[:0]                   # complements of the maxima so far
         out = []
-        n = int(self.dims[top])
-        for i in range(len(self.nodes)):
-            if i == top:
-                continue
-            d = int(self.dims[i])
-            if d == 0:
-                if n == 1:
-                    out.append(i)
-                continue
-            dw = self.dims[self._above(i)]
-            if not ((dw > d) & (dw < n)).any():
-                out.append(i)
-        return out
+        for d in range(int(self.dims[self.top_id]) - 1, -1, -1):
+            ids = np.nonzero(self.dims == d)[0]
+            inside = np.zeros(len(ids), dtype=bool)
+            step = max(1, _BATCH // max(1, outside.size))   # ~_BATCH words a block
+            for start in range(0, len(ids), step):
+                block = rows[ids[start : start + step]]
+                inside[start : start + step] = (
+                    ((block[:, None, :] & outside[None]) == 0).all(axis=2).any(axis=1)
+                )
+            new = ids[~inside]
+            out.extend(int(i) for i in new)
+            outside = np.concatenate([outside, ~rows[new]])
+        return sorted(out)
 
     def frattini(self) -> int:
         maxima = self.maximal_subalgebras()
@@ -269,20 +275,18 @@ class SubalgebraLattice:
         """ids of all nodes contained in the node v (the lattice of the
         subalgebra v)."""
         iv = self.node_id(v)
-        if self._tables is not None:
-            return np.nonzero(self._tables.contain[:, iv])[0]
         return np.nonzero(~(self.incidence & ~self.incidence[iv]).any(axis=1))[0]
 
     # -- dense tables -----------------------------------------------------------
 
-    def has_tables(self, limit: int = TABLE_NODE_LIMIT) -> bool:
-        return len(self.nodes) <= limit
+    def has_tables(self) -> bool:
+        return len(self.nodes) <= TABLE_NODE_LIMIT
 
-    def tables(self, limit: int = TABLE_NODE_LIMIT) -> "LatticeTables":
+    def tables(self) -> "LatticeTables":
         if self._tables is None:
-            if not self.has_tables(limit):
+            if not self.has_tables():
                 raise ResourceError(
-                    f"{len(self.nodes)} nodes exceed the dense-table limit {limit}"
+                    f"{len(self.nodes)} nodes exceed the dense-table limit {TABLE_NODE_LIMIT}"
                 )
             self._tables = LatticeTables.build(self)
         return self._tables
@@ -427,7 +431,6 @@ def build_lattice(
     budget: int = DEFAULT_SUBSPACE_BUDGET,
     threads: int | None = None,
     cache_path: str | None = None,
-    node_limit: int | None = None,
 ) -> SubalgebraLattice:
     """Build the lattice, consulting and refreshing a cache file if given."""
     if cache_path and os.path.exists(cache_path):
@@ -435,7 +438,7 @@ def build_lattice(
             return load_cache(cache_path, algebra)
         except CacheError:
             pass  # stale cache: rebuild below
-    lat = SubalgebraLattice.build(algebra, budget, threads, node_limit)
+    lat = SubalgebraLattice.build(algebra, budget, threads)
     if cache_path:
         save_cache(lat, cache_path)
     return lat

@@ -24,7 +24,6 @@ from .linalg import (
     Subspace,
     UsageError,
     as_row,
-    enumerate_subspaces,
     line_index,
     null_space,
     rref,
@@ -351,14 +350,6 @@ class LieAlgebra:
             if grown.dim == v.dim:
                 return v
             v = grown
-
-    def solvable_radical(self, budget: int = 4_000_000) -> Subspace:
-        """Sum of all solvable ideals, found by enumerating ideal subspaces."""
-        rad = self.zero_space()
-        for s in enumerate_subspaces(self.dim, self.p, None, budget=budget):
-            if s.dim and self.is_ideal(s) and self.is_solvable(s):
-                rad = rad.sum(s)
-        return rad
 
     # -- quotients and products ----------------------------------------------
 

@@ -11,12 +11,15 @@ The brute-force oracle checks the literal all-subspaces definition, all
 V at once by a rank comparison, and exists solely to validate that
 reduction.
 
-Whole-lattice scans use the dense tables plus a pentagon argument: a
-node u satisfies the first modular law iff no pair b < c has equal
-joins and equal meets with u; the second law fails exactly when such a
-pentagon (side b, chain m < M) exists with u <= m and join(b, u) =
-join(b, m).  Witnesses from these scans are deterministic and always
-re-verify against the definitions.
+Whole-lattice scans (the modular and sm inventories, modular*) use the
+dense tables plus a pentagon argument: a node u satisfies the first
+modular law iff no pair b < c has equal joins and equal meets with u;
+the second law fails exactly when such a pentagon (side b, chain m < M)
+exists with u <= m and join(b, u) = join(b, m).  Per-node upper, lower
+and semi-modularity scan the other nodes with meet, join and
+maximality point queries, and one-and-a-half generation is one
+line-incidence test, so both work at every lattice size.  Witnesses
+are deterministic and always re-verify against the definitions.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import numpy as np
 from .lattice import SubalgebraLattice
 from .lie import LieAlgebra
 from .linalg import ResourceError, Subspace, UsageError, batch_rref, line_index, subspace_stack
-
-DIRECT_SCAN_LIMIT = 4096
 
 
 @dataclass
@@ -76,7 +77,7 @@ def is_modular(lat: SubalgebraLattice, u, within=None) -> PredicateReport:
     induced lattice agree with the global ones.
     """
     iu = lat.node_id(u)
-    t = lat.tables(limit=DIRECT_SCAN_LIMIT)
+    t = lat.tables()
     ids = np.arange(len(lat.nodes)) if within is None else np.asarray(within, dtype=np.int64)
     jt, mt, contain = t.join, t.meet, t.contain
     ju = jt[iu, ids]
@@ -175,40 +176,44 @@ def _sm_rows(lat, iu, ids):
     return um_bad, lm_bad
 
 
-def is_upper_modular(lat, u, within=None) -> PredicateReport:
+def _sm_side(lat, iu, b):
+    """The law node iu breaks against node b: "um" (iu meet b maximal in
+    b, but iu not maximal in <iu, b>), "lm" (the converse) or None."""
+    mid = lat.meet(iu, b)
+    prem = mid != b and lat.is_maximal_in(mid, b)
+    jid = lat.join(iu, b)
+    concl = jid != iu and lat.is_maximal_in(iu, jid)
+    return "um" if prem and not concl else "lm" if concl and not prem else None
+
+
+def _sm_scan(lat, u, within, predicate, sides) -> PredicateReport:
+    """Point-query scan of B over the nodes (or `within`) in id order,
+    stopping at the first B where u breaks a law in `sides`."""
     iu = lat.node_id(u)
-    ids = np.arange(len(lat.nodes)) if within is None else np.asarray(within, dtype=np.int64)
-    um_bad, _ = _sm_rows(lat, iu, ids)
-    witness = None
-    if um_bad.any():
-        witness = {"b": node_rows(lat, int(ids[um_bad.argmax()]))}
-    return _report(lat, iu, "upper_modular", witness is None, witness)
+    for b in range(len(lat.nodes)) if within is None else within:
+        side = _sm_side(lat, iu, int(b))
+        if side in sides:
+            rows = node_rows(lat, int(b))
+            witness = {"side": side, "b": rows} if len(sides) > 1 else {"b": rows}
+            return _report(lat, iu, predicate, False, witness)
+    return _report(lat, iu, predicate, True)
+
+
+def is_upper_modular(lat, u, within=None) -> PredicateReport:
+    return _sm_scan(lat, u, within, "upper_modular", ("um",))
 
 
 def is_lower_modular(lat, u, within=None) -> PredicateReport:
-    iu = lat.node_id(u)
-    ids = np.arange(len(lat.nodes)) if within is None else np.asarray(within, dtype=np.int64)
-    _, lm_bad = _sm_rows(lat, iu, ids)
-    witness = None
-    if lm_bad.any():
-        witness = {"b": node_rows(lat, int(ids[lm_bad.argmax()]))}
-    return _report(lat, iu, "lower_modular", witness is None, witness)
+    return _sm_scan(lat, u, within, "lower_modular", ("lm",))
 
 
 def is_semi_modular(lat, u, within=None) -> PredicateReport:
-    iu = lat.node_id(u)
-    ids = np.arange(len(lat.nodes)) if within is None else np.asarray(within, dtype=np.int64)
-    um_bad, lm_bad = _sm_rows(lat, iu, ids)
-    witness = None
-    if um_bad.any() and (not lm_bad.any() or um_bad.argmax() <= lm_bad.argmax()):
-        witness = {"side": "um", "b": node_rows(lat, int(ids[um_bad.argmax()]))}
-    elif lm_bad.any():
-        witness = {"side": "lm", "b": node_rows(lat, int(ids[lm_bad.argmax()]))}
-    return _report(lat, iu, "semi_modular", witness is None, witness)
+    return _sm_scan(lat, u, within, "semi_modular", ("um", "lm"))
 
 
 def sm_inventory(lat) -> tuple[np.ndarray, np.ndarray, dict[int, dict]]:
-    """(um verdicts, lm verdicts, witnesses) for every node."""
+    """(um verdicts, lm verdicts, witnesses) for every node, from the
+    dense tables."""
     n = len(lat.nodes)
     ids = np.arange(n)
     um = np.ones(n, dtype=bool)
@@ -223,22 +228,6 @@ def sm_inventory(lat) -> tuple[np.ndarray, np.ndarray, dict[int, dict]]:
             lm[u] = False
             witnesses.setdefault(u, {"side": "lm", "b": node_rows(lat, int(lm_bad.argmax()))})
     return um, lm, witnesses
-
-
-def is_semi_modular_lazy(lat, u) -> PredicateReport:
-    """Semi-modularity without dense tables (large lattices); O(nodes)
-    meets plus joins where the covering premises fire."""
-    iu = lat.node_id(u)
-    for b in range(len(lat.nodes)):
-        mid = lat.meet(iu, b)
-        prem_um = mid != b and lat.is_maximal_in(mid, b)
-        jid = lat.join(iu, b)
-        concl_um = jid != iu and lat.is_maximal_in(iu, jid)
-        if prem_um and not concl_um:
-            return _report(lat, iu, "semi_modular", False, {"side": "um", "b": node_rows(lat, b)})
-        if concl_um and not prem_um:
-            return _report(lat, iu, "semi_modular", False, {"side": "lm", "b": node_rows(lat, b)})
-    return _report(lat, iu, "semi_modular", True)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +394,7 @@ def is_modular_star(lat, u, within=None) -> PredicateReport:
     checked first; a violating pair is usually found there.
     """
     iu = lat.node_id(u)
-    t = lat.tables(limit=DIRECT_SCAN_LIMIT)
+    t = lat.tables()
     ids = np.arange(len(lat.nodes)) if within is None else np.asarray(within, dtype=np.int64)
     jt, mt, contain = t.join, t.meet, t.contain
     witness = None
@@ -454,28 +443,17 @@ def is_mu_algebra(lat) -> bool:
 
 def has_one_and_half_generation(lat) -> PredicateReport:
     """Every nonzero x admits y with <x, y> = L; one representative per
-    line suffices since <x, y> only depends on Fx and Fy."""
+    line suffices since <x, y> only depends on Fx and Fy.  The line of x
+    has a partner iff the proper subalgebras containing x do not cover
+    every line: any line outside all of them generates L with x."""
     top = lat.top_id
-    lines = line_node_ids(lat)
-    if lat.has_tables():
-        jt = lat.tables().join
-        for l in lines:
-            if not (jt[int(l), lines] == top).any():
-                return _report(
-                    lat, top, "one_and_half_generation", False,
-                    {"x": node_rows(lat, int(l))[0]},
-                )
-        return _report(lat, top, "one_and_half_generation", True)
-    for l in lines:
-        found = False
-        for m in lines:
-            if lat.join(int(l), int(m)) == top:
-                found = True
-                break
-        if not found:
+    proper = lat.incidence[:top]              # ids ascend with dimension
+    for j, line in enumerate(line_node_ids(lat)):
+        holders = proper[(proper[:, j >> 3] >> (j & 7)) & 1 == 1]
+        if (np.bitwise_or.reduce(holders, axis=0) == lat.incidence[top]).all():
             return _report(
                 lat, top, "one_and_half_generation", False,
-                {"x": node_rows(lat, int(l))[0]},
+                {"x": node_rows(lat, int(line))[0]},
             )
     return _report(lat, top, "one_and_half_generation", True)
 
@@ -504,12 +482,8 @@ def replay_witness(lat, report: PredicateReport) -> bool:
         return lat.join(lat.meet(iu, ib), ic) != lat.meet(lat.join(ib, ic), iu)
     if report.predicate in ("upper_modular", "lower_modular", "semi_modular"):
         ib = lat.node_id(Subspace.from_vectors(w["b"], n, p))
-        mid = lat.meet(iu, ib)
-        jid = lat.join(iu, ib)
-        prem = mid != ib and lat.is_maximal_in(mid, ib)
-        concl = jid != iu and lat.is_maximal_in(iu, jid)
-        side = w.get("side", "um")
-        return (prem and not concl) if side == "um" else (concl and not prem)
+        side = w.get("side", "lm" if report.predicate == "lower_modular" else "um")
+        return _sm_side(lat, iu, ib) == side
     if report.predicate == "quasi_ideal":
         x = np.array(w["x"], dtype=np.int64)
         space = lat.nodes[iu]

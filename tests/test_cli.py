@@ -161,6 +161,20 @@ def test_verify_k_example(capsys):
     assert len(doc["digest"]) == 64
 
 
+def test_flags_only_on_commands_that_read_them(capsys):
+    for argv in (
+        ["catalog", "--threads", "1"],
+        ["enumerate", "--dim", "2", "--p", "2", "--max-subspaces", "9"],
+        ["enumerate", "--dim", "2", "--p", "2", "--algebra", "K"],
+        ["analyze", "--algebra", "K", "--seed", "3"],
+        ["lattice", "--algebra", "K", "--time-budget-secs", "5"],
+        ["verify", "--suite", "K-example", "--table-limit", "9"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nope")
     assert code == 2 and "unknown suite" in err

@@ -67,13 +67,21 @@ def test_digest_deterministic_and_ignores_timings():
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("K-example", "ef419267e29fa2916634a347308c29f99bc8f3ee66b37fff2b9fe943db3e5ed0"),
-    ("witt", "acb527e8c1e4827660698b4d99be733fc784d8f9a3548d69df250ec156f742fe"),
+    ("K-example", "d8eff87934e9073bf7a3971093d5a22c13a4df96300abc6190aa853c647068ff"),
+    ("witt", "c76885fcff3d38ff78ae4855032e3d950c54998e50afa4452b2fa5b38d56100a"),
 ], ids=["K-example", "witt"])
 def test_default_config_digests_are_pinned(name, digest):
     # a change to either digest has to be deliberate: update the pin and
     # say why in CHANGES.md
     assert report_digest(run_suite(name, HarnessConfig())) == digest
+
+
+def test_digest_ignores_threads():
+    one = run_suite("K-example", HarnessConfig(threads=1))
+    two = run_suite("K-example", HarnessConfig(threads=2))
+    assert report_digest(one) == report_digest(two)
+    assert report_to_json(two)["run"] == {"threads": 2, "time_budget_secs": 600.0}
+    assert "threads" not in one.universe["config"]
 
 
 def test_failing_assertion_carries_details():

@@ -15,6 +15,7 @@ from liesublat.catalog import (
     sl2,
     witt,
 )
+from liesublat.harness import HarnessConfig, HarnessContext
 from liesublat.lattice import (
     CacheError,
     SubalgebraLattice,
@@ -32,6 +33,7 @@ from liesublat.linalg import (
     gaussian_binomial,
     subspace_shards,
 )
+from liesublat.predicates import has_one_and_half_generation, line_node_ids, node_rows
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +263,7 @@ def test_tables_agree_with_lazy_queries(lat_sl2_3):
 @pytest.mark.parametrize("algebra", [almost_abelian(4, 3), sl2(5)],
                          ids=["almost_abelian(4,3)", "sl2(5)"])
 def test_lazy_queries_agree_with_tables(algebra):
-    # the first lattice never builds tables, so every query takes its lazy branch
+    # the first lattice never builds tables, so no query can read them
     lazy = SubalgebraLattice.build(algebra)
     t = SubalgebraLattice.build(algebra).tables()
     n = len(lazy)
@@ -278,6 +280,49 @@ def test_lazy_queries_agree_with_tables(algebra):
     for a, b in rng.integers(0, n, size=(300, 2)):
         assert lazy.join(int(a), int(b)) == t.join[a, b]
     assert lazy._tables is None
+
+
+@pytest.fixture(scope="module")
+def universe_sample():
+    """A seeded sample of each part of the default harness universe, plus
+    every non-solvable fixture except psl3 (too large for dense tables)."""
+    ctx = HarnessContext(HarnessConfig())
+    rng = np.random.default_rng(17)
+    algebras = []
+    for part in (ctx.catalog_solvables(), ctx.enumerated(), ctx.randoms()):
+        algebras += [part[int(i)] for i in sorted(rng.choice(len(part), size=25, replace=False))]
+    return algebras + ctx.nonsolvable_fixtures()
+
+
+def test_maximal_subalgebras_match_tables(universe_sample):
+    nodes = 0
+    for algebra in universe_sample:
+        lat = SubalgebraLattice.build(algebra)   # never builds tables
+        t = SubalgebraLattice.build(algebra).tables()
+        assert lat.maximal_subalgebras() == np.nonzero(t.maximal[:, lat.top_id])[0].tolist()
+        assert lat._tables is None
+        nodes += len(lat)
+    assert nodes > 2000
+
+
+def _gen15_by_joins(lat):
+    """Reference definition: some line's join with every line is proper."""
+    lines = line_node_ids(lat)
+    jt = lat.tables().join
+    for line in lines:
+        if not (jt[int(line), lines] == lat.top_id).any():
+            return False, {"x": node_rows(lat, int(line))[0]}
+    return True, None
+
+
+def test_gen15_matches_join_tables(universe_sample):
+    verdicts = set()
+    for algebra in universe_sample:
+        lat = SubalgebraLattice.build(algebra)
+        rep = has_one_and_half_generation(lat)
+        assert (rep.verdict, rep.witness) == _gen15_by_joins(lat), algebra.name
+        verdicts.add(rep.verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("algebra", [sl2(5), almost_abelian(4, 3)],

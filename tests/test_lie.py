@@ -293,14 +293,6 @@ def test_core_against_ideal_enumeration():
                 assert got.is_subspace_of(s)
 
 
-def test_solvable_radical():
-    assert almost_abelian(3, 5).solvable_radical().dim == 3
-    assert sl2(5).solvable_radical().dim == 0
-    big = direct_sum(sl2(5), abelian(2, 5))
-    rad = big.solvable_radical()
-    assert rad == Subspace.from_vectors([(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)], 5, 5)
-
-
 # ---------------------------------------------------------------------------
 # Quotients and extensions
 # ---------------------------------------------------------------------------

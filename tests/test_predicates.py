@@ -25,7 +25,6 @@ from liesublat.predicates import (
     is_quasi_ideal,
     is_quasi_ideal_bruteforce,
     is_semi_modular,
-    is_semi_modular_lazy,
     is_strong_ideal,
     is_strong_quasi_ideal,
     is_upper_modular,
@@ -115,9 +114,28 @@ def test_cartan_of_sl2_f5_not_sm(lat_sl2_5):
 
 
 def test_sm_inventory_matches_lazy(lat_sl2_5):
-    um, lm, _ = sm_inventory(lat_sl2_5)
-    for u in range(len(lat_sl2_5)):
-        assert (um[u] and lm[u]) == is_semi_modular_lazy(lat_sl2_5, u).verdict
+    # the table inventory against the per-node scans, verdicts and witnesses;
+    # the inventory keeps the um witness when both sides fail
+    others = [simple3_char2(), almost_abelian(3, 3), heisenberg(3), sl2(3)]
+    for lat in [lat_sl2_5] + [SubalgebraLattice.build(a) for a in others]:
+        um, lm, wit = sm_inventory(lat)
+        for u in range(len(lat)):
+            up, low, semi = (is_upper_modular(lat, u), is_lower_modular(lat, u),
+                             is_semi_modular(lat, u))
+            assert (up.verdict, low.verdict, semi.verdict) == (um[u], lm[u], um[u] and lm[u])
+            if not up.verdict:
+                assert wit[u] == {"side": "um", **up.witness}
+                assert replay_witness(lat, up)
+            if not low.verdict:
+                assert replay_witness(lat, low)
+                if up.verdict:
+                    assert wit[u] == {"side": "lm", **low.witness}
+            if not semi.verdict:
+                first = min((r for r in (up, low) if not r.verdict),
+                            key=lambda r: lat.node_id(r.witness["b"]))
+                assert semi.witness == {"side": "um" if first is up else "lm", **first.witness}
+                assert replay_witness(lat, semi)
+    assert not um.all() and not lm.all()   # sl2(3) fails both laws somewhere
 
 
 def test_trivial_nodes_sm(lat_K):
