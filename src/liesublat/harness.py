@@ -82,19 +82,21 @@ class AlgebraAnalysis:
 
     Every algebra gets the stages that read only the structure tensor
     and the line incidence: quasi-ideal and ideal inventories, the mu
-    test, line and strong flags, atom scalars, the maximal subalgebras
-    (`maxima`, `maximal_top`) with the Frattini subalgebra, and
-    one-and-a-half generation.  The stages that read the modular and sm
-    inventories or the dense tables run only when the lattice has tables
-    (at most `TABLE_NODE_LIMIT` nodes); without them (`heavy`, psl3)
-    `modular` and `sm` are not set and `core_free`, `local` and `star`
-    stay empty.  Large tables are dropped afterwards.
+    test, strong flags (read from those inventories at the lines), atom
+    scalars, the maximal subalgebras (`maxima`, `maximal_top`) with the
+    Frattini subalgebra, and one-and-a-half generation.  The stages that
+    read the modular and sm inventories or the dense tables run only
+    when the lattice has tables (at most `TABLE_NODE_LIMIT` nodes);
+    without them (`heavy`, psl3) `modular` and `sm` are not set and
+    `core_free`, `local` and `star` stay empty.  The tables are released
+    after those stages, at every size: nothing reads them afterwards.
+    `analysis_secs` is the wall time of the whole analysis.
     """
 
     def __init__(self, algebra: LieAlgebra, config: HarnessConfig):
         self.algebra = algebra
         self.name = algebra.name
-        t0 = time.monotonic()
+        start = t0 = time.monotonic()
         lat = SubalgebraLattice.build(
             algebra, budget=config.max_subspaces,
             threads=config.threads if config.threads > 1 else None,
@@ -106,10 +108,10 @@ class AlgebraAnalysis:
         self.solvable = algebra.is_solvable()
         self.flags = algebra.structural_flags()
         self.derived = algebra.bracket_spaces(algebra.full_space(), algebra.full_space())
-        self.quasi, self.quasi_wit = P.quasi_ideal_inventory(lat)
+        self.quasi, _ = P.quasi_ideal_inventory(lat)
         self.ideal = P.ideal_inventory(lat)
         self.mu = P.is_mu_algebra(lat)
-        self._line_flags()
+        self.line_ids = P.line_node_ids(lat)
         self._strong_flags()
         self._atom_scalars()
         t0 = time.monotonic()
@@ -118,34 +120,27 @@ class AlgebraAnalysis:
         self.maximal_top = np.zeros(self.n_nodes, dtype=bool)
         self.maximal_top[self.maxima] = True
         self.frattini_id = functools.reduce(lat.meet, self.maxima)
-        gen = P.has_one_and_half_generation(lat)
-        self.gen15 = gen.verdict
-        self.gen15_wit = gen.witness
+        self.gen15 = P.has_one_and_half_generation(lat).verdict
         self.core_free: dict[int, bool] = {}
         self.local: dict[int, dict] = {}
         self.star: dict[int, bool] = {}
         if lat.has_tables():
-            self.modular, self.modular_wit = P.modular_inventory(lat)
-            self.um, self.lm, self.sm_wit = P.sm_inventory(lat)
+            self.modular, _ = P.modular_inventory(lat)
+            self.um, self.lm, _ = P.sm_inventory(lat)
             self.sm = self.um & self.lm
             self._core_free_sm()
             self._local_lemma(lat.tables())
             self._modular_star_checks()
-            if self.n_nodes > 600:
-                lat._tables = None
+            lat._tables = None
         self.quasi_not_sm = self._quasi_not_sm()
-
-    def _line_flags(self):
-        self.line_ids = P.line_node_ids(self.lat)
-        self.ideal_lines = P.ideal_line_flags(self.lat)
-        self.quasi_lines = P.quasi_line_flags(self.lat)
+        self.analysis_secs = time.monotonic() - start
 
     def _strong_flags(self):
         """A node is a strong (quasi-)ideal iff it contains no line that
         fails to be an ideal (quasi-ideal): its incidence row against
-        the bad-line mask."""
-        self.strong_ideal = P.strong_inventory(self.lat, self.ideal_lines)
-        self.strong_quasi = P.strong_inventory(self.lat, self.quasi_lines)
+        the bad lines of the ideal (quasi-ideal) inventory."""
+        self.strong_ideal = P.strong_inventory(self.lat, self.ideal)
+        self.strong_quasi = P.strong_inventory(self.lat, self.quasi)
 
     def _atom_scalars(self):
         # action of each atom's representative on the derived subalgebra
@@ -480,10 +475,9 @@ def _suite_psl3(config) -> SuiteReport:
     claims = []
     algebra = psl3_char3()
 
-    t0 = time.monotonic()
     an = ctx.psl3()
     lat = an.lat
-    timings["analysis_secs"] = time.monotonic() - t0
+    timings["analysis_secs"] = an.analysis_secs
     timings["enumeration_secs"] = an.build_secs
     timings["candidates"] = count_subspaces(7, 3)
     timings["throughput_per_sec"] = (
@@ -596,7 +590,7 @@ def _suite_k_example(config) -> SuiteReport:
     )
 
     fc = lat.node_id(Subspace.from_vectors([(0, 0, 1)], 3, 2))
-    quasi_atoms = [int(i) for i in an.line_ids if an.quasi_lines[int(i)]]
+    quasi_atoms = [int(i) for i in an.line_ids if an.quasi[i]]
     _claim(claims, "unique-one-dim-quasi-ideal-is-Fc", quasi_atoms == [fc],
            {"quasi_atoms": [P.node_rows(lat, i) for i in quasi_atoms]})
     _claim(claims, "simple", an.flags.is_simple, {})

@@ -18,9 +18,12 @@ the lowest-id container of both operands, and maximality and the
 maximal subalgebras come from subset tests between rows.
 
 Lattices of at most `TABLE_NODE_LIMIT` nodes also expose dense n x n
-containment, join, meet and cover tables (`tables()`).  Only the
-whole-lattice predicate scans (the modular and semi-modular
-inventories, modular*) read them.
+containment, join, meet and cover tables (`tables()`).  Containment is
+one product of line rows; join, meet and covers are read from each
+node's up-set and down-set in it.  Only the whole-lattice predicate
+scans (the modular and semi-modular inventories, modular*) read the
+tables, and the harness analysis releases them once those scans are
+done.
 """
 
 from __future__ import annotations
@@ -294,7 +297,13 @@ class SubalgebraLattice:
 
 @dataclass
 class LatticeTables:
-    """Dense id-level lattice relations: containment, join, meet, covers."""
+    """Dense id-level lattice relations, all derived from containment.
+
+    Node ids ascend with dimension, so a node's up-set starts with the
+    node itself and the lowest-id common upper bound of two nodes is
+    their join; dually the highest-id common lower bound is their meet.
+    b covers a iff b is the only node of a's strict up-set at or below b.
+    """
 
     contain: np.ndarray   # bool, contain[a, b] = a <= b
     join: np.ndarray      # int32 node ids
@@ -307,10 +316,16 @@ class LatticeTables:
         # a <= b iff no line of a lies outside b
         lines = lat.line_rows().astype(np.float32)
         contain = (lines @ (1 - lines).T) == 0
-        join, meet = _join_meet_tables(contain, lat.dims)
-        strict = contain & ~np.eye(n_nodes, dtype=bool)
-        between = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
-        maximal = strict & ~between
+        below = np.ascontiguousarray(contain.T)   # below[a] is a's down-set
+        join = np.empty((n_nodes, n_nodes), dtype=np.int32)
+        meet = np.empty((n_nodes, n_nodes), dtype=np.int32)
+        maximal = np.empty((n_nodes, n_nodes), dtype=bool)
+        for a in range(n_nodes):
+            up = np.nonzero(contain[a])[0]
+            join[a] = up[below[up].argmax(axis=0)]
+            down = np.nonzero(below[a])[0][::-1]
+            meet[a] = down[contain[down].argmax(axis=0)]
+            maximal[a] = np.count_nonzero(contain[up[1:]], axis=0) == 1
         return cls(contain, join, meet, maximal)
 
 
@@ -338,53 +353,6 @@ def _incidence(nodes: list[Subspace], dims: np.ndarray, n: int, p: int,
             out[sl] = np.packbits(hit, axis=1, bitorder="little")
     out.setflags(write=False)
     return out
-
-
-def _msb_positions(words: np.ndarray) -> np.ndarray:
-    """floor(log2(word)) per element via binary reduction; exact for uint64."""
-    m = words.copy()
-    r = np.zeros(words.shape, dtype=np.int64)
-    for s in (32, 16, 8, 4, 2, 1):
-        t = m >> np.uint64(s)
-        mask = t != 0
-        r[mask] += s
-        m = np.where(mask, t, m)
-    return r
-
-
-def _join_meet_tables(contain: np.ndarray, dims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Join and meet id tables from the containment matrix.
-
-    Node ids ascend with dimension, so among the common upper bounds of
-    (a, b) the unique minimal one (the join) is the lowest set bit of
-    the AND of packed upper-bound rows; dually for meets.
-    """
-    n = contain.shape[0]
-    words = ((n + 63) // 64) * 8
-    uppers = np.zeros((n, words), dtype=np.uint8)
-    packed = np.packbits(contain, axis=1, bitorder="little")
-    uppers[:, : packed.shape[1]] = packed
-    uppers = uppers.view(np.uint64)
-    lowers = np.zeros((n, words), dtype=np.uint8)
-    packed_t = np.packbits(contain.T, axis=1, bitorder="little")
-    lowers[:, : packed_t.shape[1]] = packed_t
-    lowers = lowers.view(np.uint64)
-
-    join = np.zeros((n, n), dtype=np.int32)
-    meet = np.zeros((n, n), dtype=np.int32)
-    for a in range(n):
-        ua = uppers[a] & uppers               # (n, W)
-        nz = ua != 0
-        widx = nz.argmax(axis=1)
-        word = ua[np.arange(n), widx]
-        low = word & (~word + np.uint64(1))
-        join[a] = widx * 64 + _msb_positions(low)
-        la = lowers[a] & lowers
-        nz = la != 0
-        widx = (la.shape[1] - 1) - nz[:, ::-1].argmax(axis=1)
-        word = la[np.arange(n), widx]
-        meet[a] = widx * 64 + _msb_positions(word)
-    return join, meet
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,31 @@ def node_rows(lat, i) -> list[list[int]]:
 # Modular
 # ---------------------------------------------------------------------------
 
+def _first_law_chunks(t, iu, ids):
+    """The first modular law for node iu, B over `ids` and C over chunks
+    of `ids`: per chunk, (C ids, meet(<u, B>, C), failures B <= C with
+    meet(<u, B>, C) != <B, u meet C>)."""
+    ju = t.join[iu, ids]
+    for start in range(0, len(ids), 512):
+        c_ids = ids[start : start + 512]
+        lhs = t.meet[np.ix_(ju, c_ids)]
+        rhs = t.join[np.ix_(ids, t.meet[iu, c_ids])]
+        yield c_ids, lhs, t.contain[np.ix_(ids, c_ids)] & (lhs != rhs)
+
+
+def _law_witness(lat, law, bad, b_ids, c_ids) -> dict | None:
+    """The first failing (B, C) pair of `bad`, rows B over `b_ids` and
+    columns C over `c_ids`, or None."""
+    if not bad.any():
+        return None
+    b_i, c_i = np.argwhere(bad)[0]
+    return {"law": law, "b": node_rows(lat, int(b_ids[b_i])),
+            "c": node_rows(lat, int(c_ids[c_i]))}
+
+
 def is_modular(lat: SubalgebraLattice, u, within=None) -> PredicateReport:
-    """Both displayed modularity laws, quantified over lattice nodes.
+    """Both displayed modularity laws, quantified over lattice nodes;
+    within each chunk of C the first law is tested before the second.
 
     `within` restricts all quantifiers to the given node ids (the
     induced lattice of a subalgebra); joins, meets and covers inside an
@@ -79,26 +102,12 @@ def is_modular(lat: SubalgebraLattice, u, within=None) -> PredicateReport:
     iu = lat.node_id(u)
     t = lat.tables()
     ids = np.arange(len(lat.nodes)) if within is None else np.asarray(within, dtype=np.int64)
-    jt, mt, contain = t.join, t.meet, t.contain
-    ju = jt[iu, ids]
-    sub = contain[np.ix_(ids, ids)]
-    jcol_u = jt[:, iu]
     witness = None
-    for c_start in range(0, len(ids), 512):
-        c_ids = ids[c_start : c_start + 512]
-        lhs = mt[np.ix_(ju, c_ids)]                       # meet(<u,B>, C)
-        rhs1 = jt[np.ix_(ids, mt[iu, c_ids])]             # <B, u meet C>
-        bad1 = sub[:, c_start : c_start + 512] & (lhs != rhs1)
-        rhs2 = jcol_u[mt[np.ix_(ids, c_ids)]]             # <B meet C, u>
-        bad2 = contain[iu, c_ids][None, :] & (lhs != rhs2)
-        for law, bad in ((1, bad1), (2, bad2)):
-            if witness is None and bad.any():
-                b_i, c_i = np.argwhere(bad)[0]
-                witness = {
-                    "law": law,
-                    "b": node_rows(lat, int(ids[b_i])),
-                    "c": node_rows(lat, int(c_ids[c_i])),
-                }
+    for c_ids, lhs, bad1 in _first_law_chunks(t, iu, ids):
+        rhs2 = t.join[:, iu][t.meet[np.ix_(ids, c_ids)]]           # <B meet C, u>
+        bad2 = t.contain[iu, c_ids][None, :] & (lhs != rhs2)
+        witness = (_law_witness(lat, 1, bad1, ids, c_ids)
+                   or _law_witness(lat, 2, bad2, ids, c_ids))
         if witness is not None:
             break
     return _report(lat, iu, "modular", witness is None, witness)
@@ -186,29 +195,29 @@ def _sm_side(lat, iu, b):
     return "um" if prem and not concl else "lm" if concl and not prem else None
 
 
-def _sm_scan(lat, u, within, predicate, sides) -> PredicateReport:
-    """Point-query scan of B over the nodes (or `within`) in id order,
-    stopping at the first B where u breaks a law in `sides`."""
+def _sm_scan(lat, u, predicate, sides) -> PredicateReport:
+    """Point-query scan of B over the nodes in id order, stopping at the
+    first B where u breaks a law in `sides`."""
     iu = lat.node_id(u)
-    for b in range(len(lat.nodes)) if within is None else within:
-        side = _sm_side(lat, iu, int(b))
+    for b in range(len(lat.nodes)):
+        side = _sm_side(lat, iu, b)
         if side in sides:
-            rows = node_rows(lat, int(b))
+            rows = node_rows(lat, b)
             witness = {"side": side, "b": rows} if len(sides) > 1 else {"b": rows}
             return _report(lat, iu, predicate, False, witness)
     return _report(lat, iu, predicate, True)
 
 
-def is_upper_modular(lat, u, within=None) -> PredicateReport:
-    return _sm_scan(lat, u, within, "upper_modular", ("um",))
+def is_upper_modular(lat, u) -> PredicateReport:
+    return _sm_scan(lat, u, "upper_modular", ("um",))
 
 
-def is_lower_modular(lat, u, within=None) -> PredicateReport:
-    return _sm_scan(lat, u, within, "lower_modular", ("lm",))
+def is_lower_modular(lat, u) -> PredicateReport:
+    return _sm_scan(lat, u, "lower_modular", ("lm",))
 
 
-def is_semi_modular(lat, u, within=None) -> PredicateReport:
-    return _sm_scan(lat, u, within, "semi_modular", ("um", "lm"))
+def is_semi_modular(lat, u) -> PredicateReport:
+    return _sm_scan(lat, u, "semi_modular", ("um", "lm"))
 
 
 def sm_inventory(lat) -> tuple[np.ndarray, np.ndarray, dict[int, dict]]:
@@ -352,15 +361,16 @@ def quasi_line_flags(lat) -> dict[int, bool]:
     }
 
 
-def _bad_lines(lat, flags: dict[int, bool]) -> np.ndarray:
+def _bad_lines(lat, flags) -> np.ndarray:
     """Line-incidence mask (column order) of the lines whose flag is False."""
     return np.array([not flags[int(i)] for i in line_node_ids(lat)], dtype=bool)
 
 
-def strong_inventory(lat, flags: dict[int, bool]) -> np.ndarray:
-    """Per node: it contains no line whose flag (`ideal_line_flags` or
-    `quasi_line_flags`) is False, i.e. it is a strong ideal or strong
-    quasi-ideal respectively."""
+def strong_inventory(lat, flags) -> np.ndarray:
+    """Per node: it contains no line whose flag is False, i.e. it is a
+    strong ideal or strong quasi-ideal when `flags` are the ideal or
+    quasi-ideal verdicts.  `flags` is looked up by line node id: the
+    dict of `ideal_line_flags`/`quasi_line_flags`, or a whole inventory."""
     bad = np.packbits(_bad_lines(lat, flags), bitorder="little")
     return ~(lat.incidence & bad).any(axis=1)
 
@@ -386,7 +396,7 @@ def is_strong_quasi_ideal(lat, u) -> PredicateReport:
 # Modular*
 # ---------------------------------------------------------------------------
 
-def is_modular_star(lat, u, within=None) -> PredicateReport:
+def is_modular_star(lat, u) -> PredicateReport:
     """The dualised laws: the first modular law, plus
     <U meet B, C> = <B, C> meet U for all subalgebras C <= U.
 
@@ -395,36 +405,15 @@ def is_modular_star(lat, u, within=None) -> PredicateReport:
     """
     iu = lat.node_id(u)
     t = lat.tables()
-    ids = np.arange(len(lat.nodes)) if within is None else np.asarray(within, dtype=np.int64)
-    jt, mt, contain = t.join, t.meet, t.contain
-    witness = None
-    c_down = ids[contain[ids, iu]]                        # C <= U within scope
-    if c_down.size:
-        lhs2 = jt[np.ix_(mt[iu, ids], c_down)]            # <U meet B, C>
-        rhs2 = mt[:, iu][jt[np.ix_(ids, c_down)]]         # <B, C> meet U
-        bad2 = lhs2 != rhs2
-        if bad2.any():
-            b_i, c_i = np.argwhere(bad2)[0]
-            witness = {
-                "law": 2,
-                "b": node_rows(lat, int(ids[b_i])),
-                "c": node_rows(lat, int(c_down[c_i])),
-            }
+    ids = np.arange(len(lat.nodes))
+    c_down = np.nonzero(t.contain[:, iu])[0]
+    lhs2 = t.join[np.ix_(t.meet[iu], c_down)]             # <U meet B, C>
+    rhs2 = t.meet[:, iu][t.join[:, c_down]]               # <B, C> meet U
+    witness = _law_witness(lat, 2, lhs2 != rhs2, ids, c_down)
     if witness is None:
-        ju = jt[iu, ids]
-        sub = contain[np.ix_(ids, ids)]
-        for c_start in range(0, len(ids), 512):
-            c_ids = ids[c_start : c_start + 512]
-            lhs1 = mt[np.ix_(ju, c_ids)]
-            rhs1 = jt[np.ix_(ids, mt[iu, c_ids])]
-            bad1 = sub[:, c_start : c_start + 512] & (lhs1 != rhs1)
-            if bad1.any():
-                b_i, c_i = np.argwhere(bad1)[0]
-                witness = {
-                    "law": 1,
-                    "b": node_rows(lat, int(ids[b_i])),
-                    "c": node_rows(lat, int(c_ids[c_i])),
-                }
+        for c_ids, _, bad1 in _first_law_chunks(t, iu, ids):
+            witness = _law_witness(lat, 1, bad1, ids, c_ids)
+            if witness is not None:
                 break
     return _report(lat, iu, "modular_star", witness is None, witness)
 
@@ -473,12 +462,10 @@ def replay_witness(lat, report: PredicateReport) -> bool:
     if report.predicate in ("modular", "modular_star"):
         ib = lat.node_id(Subspace.from_vectors(w["b"], n, p))
         ic = lat.node_id(Subspace.from_vectors(w["c"], n, p))
-        if report.predicate == "modular":
-            if w["law"] == 1:
-                return lat.meet(lat.join(iu, ib), ic) != lat.join(ib, lat.meet(iu, ic))
-            return lat.meet(lat.join(iu, ib), ic) != lat.join(lat.meet(ib, ic), iu)
         if w["law"] == 1:
             return lat.meet(lat.join(iu, ib), ic) != lat.join(ib, lat.meet(iu, ic))
+        if report.predicate == "modular":
+            return lat.meet(lat.join(iu, ib), ic) != lat.join(lat.meet(ib, ic), iu)
         return lat.join(lat.meet(iu, ib), ic) != lat.meet(lat.join(ib, ic), iu)
     if report.predicate in ("upper_modular", "lower_modular", "semi_modular"):
         ib = lat.node_id(Subspace.from_vectors(w["b"], n, p))

@@ -15,7 +15,7 @@ from liesublat.catalog import (
     sl2,
     witt,
 )
-from liesublat.harness import HarnessConfig, HarnessContext
+from liesublat.harness import AlgebraAnalysis, HarnessConfig, HarnessContext
 from liesublat.lattice import (
     CacheError,
     SubalgebraLattice,
@@ -33,7 +33,14 @@ from liesublat.linalg import (
     gaussian_binomial,
     subspace_shards,
 )
-from liesublat.predicates import has_one_and_half_generation, line_node_ids, node_rows
+from liesublat.predicates import (
+    has_one_and_half_generation,
+    ideal_line_flags,
+    line_node_ids,
+    node_rows,
+    quasi_line_flags,
+    strong_inventory,
+)
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +252,7 @@ def test_maximal_subalgebras_K(lat_K):
         assert lat_K.nodes[m].contains((0, 0, 1))
 
 
-def test_tables_agree_with_lazy_queries(lat_sl2_3):
+def test_tables_agree_with_lazy_queries(lat_sl2_3, universe_sample):
     t = lat_sl2_3.tables()
     n = len(lat_sl2_3)
     for a in range(n):
@@ -258,6 +265,27 @@ def test_tables_agree_with_lazy_queries(lat_sl2_3):
             expected = _maximal_oracle(lat_sl2_3, a, b)
             if expected is not None:
                 assert bool(t.maximal[a, b]) == expected
+    # the universe sample: every pair up to 200 nodes, 300 seeded above
+    rng = np.random.default_rng(11)
+    covers = 0
+    for algebra in universe_sample:
+        lat = SubalgebraLattice.build(algebra)
+        t = lat.tables()
+        n = len(lat)
+        if n <= 200:
+            pairs = itertools.product(range(n), repeat=2)
+        else:
+            pairs = rng.integers(0, n, size=(300, 2)).tolist()
+        for a, b in pairs:
+            assert t.join[a, b] == lat.join(a, b), algebra.name
+            assert t.meet[a, b] == lat.meet(a, b), algebra.name
+            assert t.contain[a, b] == lat._le(a, b), algebra.name
+            if a != b and t.contain[a, b]:
+                assert t.maximal[a, b] == lat.is_maximal_in(a, b), algebra.name
+                covers += bool(t.maximal[a, b])
+            else:
+                assert not t.maximal[a, b], algebra.name
+    assert covers > 1000
 
 
 @pytest.mark.parametrize("algebra", [almost_abelian(4, 3), sl2(5)],
@@ -303,6 +331,16 @@ def test_maximal_subalgebras_match_tables(universe_sample):
         assert lat._tables is None
         nodes += len(lat)
     assert nodes > 2000
+
+
+def test_analysis_strong_flags_match_line_flags(universe_sample):
+    for algebra in universe_sample:
+        an = AlgebraAnalysis(algebra, HarnessConfig())
+        lat = an.lat
+        assert (an.strong_ideal == strong_inventory(lat, ideal_line_flags(lat))).all()
+        assert (an.strong_quasi == strong_inventory(lat, quasi_line_flags(lat))).all()
+        assert lat._tables is None      # released after the analysis
+        assert an.analysis_secs >= an.build_secs > 0
 
 
 def _gen15_by_joins(lat):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from liesublat.catalog import (
     random_solvable,
     simple3_char2,
     sl2,
+    strictly_upper,
 )
 from liesublat.lattice import SubalgebraLattice
 from liesublat.linalg import ResourceError, Subspace, UsageError, enumerate_subspaces
@@ -83,6 +87,26 @@ def test_modular_inventory_matches_per_node(lat_sl2_5):
         rep.witness = w
         rep.verdict = False
         assert replay_witness(lat_sl2_5, rep)
+
+
+@pytest.mark.parametrize("algebra,digest", [
+    (simple3_char2(), "8f3a1b9330dbddef2da12a5d095ff94528a78b943c25330fa814056badf956f2"),
+    (sl2(5), "def21b04a0df1b2aa82669e6254b0ae248739e1012ae762973997f7a8969be6a"),
+    (strictly_upper(4, 2), "46ed16c1158a5c137a10e480eb02e3108716d7116653fb48bad8c582bef84730"),
+], ids=["K", "sl2(5)", "n(4,2)"])
+def test_modular_witnesses_pinned(algebra, digest):
+    # every node's is_modular and is_modular_star verdict and witness,
+    # recorded while each predicate still had its own first-law scan;
+    # testing law 2 first in is_modular changes all three digests, and
+    # testing law 1 first in is_modular_star changes the n(4,2) one
+    lat = SubalgebraLattice.build(algebra)
+    reports = [f(lat, u) for u in range(len(lat)) for f in (is_modular, is_modular_star)]
+    doc = json.dumps([(r.predicate, r.verdict, r.witness) for r in reports],
+                     sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    false = [r for r in reports if not r.verdict]
+    assert {r.witness["law"] for r in false if r.predicate == "modular_star"} == {1, 2}
+    assert all(replay_witness(lat, r) for r in false)
 
 
 def test_modular_within_full_subset_matches(lat_sl2_3):
