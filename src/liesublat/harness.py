@@ -81,10 +81,12 @@ class AlgebraAnalysis:
     """Everything the suites need about one algebra, computed once.
 
     Every algebra gets the stages that read only the structure tensor
-    and the line incidence: quasi-ideal and ideal inventories, the mu
-    test, strong flags (read from those inventories at the lines), atom
-    scalars, the maximal subalgebras (`maxima`, `maximal_top`) with the
-    Frattini subalgebra, and one-and-a-half generation.  The stages that
+    and the line incidence: quasi-ideal and ideal inventories (staged
+    batch kernels over the nodes of each pivot pattern, see
+    `predicates`), the mu test, strong flags (read from those
+    inventories at the lines), atom scalars, the maximal subalgebras
+    (`maxima`, `maximal_top`) with the Frattini subalgebra, and
+    one-and-a-half generation.  The stages that
     read the modular and sm inventories or the dense tables run only
     when the lattice has tables (at most `TABLE_NODE_LIMIT` nodes);
     without them (`heavy`, psl3) `modular` and `sm` are not set and

@@ -32,7 +32,6 @@ import functools
 import json
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +138,10 @@ class SubalgebraLattice:
             )
         shards = list(subspace_shards(n, p))
         if threads and threads > 1:
+            # imported here: threads and the modules they pull in are
+            # only worth their import time when a build uses them
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 blocks = list(
                     pool.map(

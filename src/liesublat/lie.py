@@ -24,12 +24,17 @@ from .linalg import (
     Subspace,
     UsageError,
     as_row,
+    batch_rref,
     line_index,
     null_space,
     rref,
     solve_linear,
     _check_prime,
 )
+
+#: entries of int64 work per block in the batched ideal and quasi-ideal
+#: kernels; blocks of bases (and of lines) are cut to stay near it
+BLOCK_ENTRIES = 1 << 16
 
 
 class JacobiError(ValueError):
@@ -213,8 +218,33 @@ class LieAlgebra:
         return self.bracket_spaces(ss, ss).is_subspace_of(ss)
 
     def is_ideal(self, s) -> bool:
+        """[L, U] <= U: the one-base case of `ideal_mask`."""
         ss = self._space(s)
-        return self.bracket_spaces(self.full_space(), ss).is_subspace_of(ss)
+        return bool(self.ideal_mask(ss.rows[None], ss.pivots)[0])
+
+    def ideal_mask(self, rows: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
+        """Per base of an (m, k, n) stack of RREF bases that share the
+        pivot columns `pivots`: whether it spans an ideal.
+
+        [e_i, u_r] in U is tested for one basis vector e_i at a time, each
+        only on the bases that passed the earlier ones, in blocks of at
+        most `BLOCK_ENTRIES` product entries.
+        """
+        m, k, n = rows.shape
+        ok = np.ones(m, dtype=bool)
+        if k in (0, n):
+            return ok
+        p, piv = self.p, list(pivots)
+        c = self.tensor.astype(np.int64)
+        step = max(1, BLOCK_ENTRIES // (k * n))
+        for i in range(n):
+            alive = np.nonzero(ok)[0]
+            for start in range(0, len(alive), step):
+                ids = alive[start : start + step]
+                r = rows[ids].astype(np.int64)
+                prod = r @ c[i] % p                                  # [e_i, u_r]
+                ok[ids] = ~((prod - prod[:, :, piv] @ r) % p).any(axis=(1, 2))
+        return ok
 
     def generated_subalgebra(self, seed) -> Subspace:
         """Smallest bracket-closed subspace containing the input."""
@@ -386,13 +416,33 @@ class LieAlgebra:
     # -- recognisers ---------------------------------------------------------
 
     def is_simple(self) -> bool:
-        """No proper nonzero ideals and nonabelian (dims 0, 1 excluded)."""
-        if self.dim < 2 or self.is_abelian():
-            return False
+        """No proper nonzero ideals and nonabelian (dims 0, 1 excluded).
+
+        A simple algebra is perfect, so [L, L] != L (abelian algebras
+        included) settles it at once.  Otherwise the ideal closures of all
+        lines grow together, a block of lines at a time with one
+        `batch_rref` per round: a closure that stops growing below dim L
+        is a proper nonzero ideal, and the first one found ends the test.
+        """
+        n, p = self.dim, self.p
         full = self.full_space()
-        for x in full.line_reps():
-            if self.ideal_closure(Subspace.from_vectors([x], self.dim, self.p)).dim != self.dim:
-                return False
+        if self.bracket_spaces(full, full).dim != n:
+            return False
+        c = self.tensor.astype(np.int64)
+        lines = line_index(n, p)[0]
+        step = max(1, BLOCK_ENTRIES // ((n + n * n) * n))
+        for start in range(0, len(lines), step):
+            block = lines[start : start + step]
+            span = np.zeros((len(block), n, n), dtype=np.int64)
+            span[:, 0] = block
+            rank = np.ones(len(block), dtype=np.int64)
+            while len(span):
+                prods = np.einsum("mrj,ijl->mirl", span, c).reshape(len(span), n * n, n)
+                grown, new_rank = batch_rref(np.concatenate([span, prods], axis=1), p)
+                if (new_rank == rank).any():
+                    return False
+                left = new_rank < n
+                span, rank = grown[left, :n].astype(np.int64), new_rank[left]
         return True
 
     def acts_as_scalar(self, u, space: Subspace) -> int | None:
@@ -446,11 +496,13 @@ class LieAlgebra:
         return self.dim == 3 and self.is_simple()
 
     def structural_flags(self) -> StructuralFlags:
+        simple = self.is_simple()
         return StructuralFlags(
-            is_simple=self.is_simple(),
+            is_simple=simple,
             is_almost_abelian=self.is_almost_abelian(),
             is_supersolvable=self.is_supersolvable(),
-            is_three_dim_split_simple=self.is_three_dim_split_simple(),
+            # as in is_three_dim_split_simple, from the one simplicity test
+            is_three_dim_split_simple=self.dim == 3 and simple,
         )
 
     def restricted_to(self, space) -> "LieAlgebra":

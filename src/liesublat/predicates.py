@@ -11,6 +11,15 @@ The brute-force oracle checks the literal all-subspaces definition, all
 V at once by a rank comparison, and exists solely to validate that
 reduction.
 
+Quasi-ideal and ideal verdicts come from staged batch kernels: nodes
+are grouped by pivot pattern, and each group's stacked bases are tested
+a block of lines at a time (quasi-ideal, in `line_index` order) or one
+basis vector e_i at a time (ideal, `LieAlgebra.ideal_mask`), each test
+only on the bases that passed the earlier ones.  The inventories, the
+line flags and the point queries all go through these kernels (a point
+query is the one-base case), so a quasi-ideal witness is the first bad
+line in column order wherever it is asked for.
+
 Whole-lattice scans (the modular and sm inventories, modular*) use the
 dense tables plus a pentagon argument: a node u satisfies the first
 modular law iff no pair b < c has equal joins and equal meets with u;
@@ -24,13 +33,18 @@ are deterministic and always re-verify against the definitions.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lattice import SubalgebraLattice
-from .lie import LieAlgebra
-from .linalg import ResourceError, Subspace, UsageError, batch_rref, line_index, subspace_stack
+from .lie import BLOCK_ENTRIES, LieAlgebra
+from .linalg import (
+    INV_TABLE, ResourceError, Subspace, UsageError, batch_rref, line_index, subspace_stack,
+)
 
 
 @dataclass
@@ -128,44 +142,42 @@ def modular_inventory(lat: SubalgebraLattice) -> tuple[np.ndarray, dict[int, dic
     bad = np.zeros(n, dtype=bool)
     witnesses: dict[int, dict] = {}
     edges = np.argwhere(t.maximal)  # (m, M) cover pairs in lex order
-    pentagon_edges = []
+    pentagons = []                  # pentagon edges (m, M), in the same order
     for start in range(0, edges.shape[0], 2048):
         chunk = edges[start : start + 2048]
         ms, tops = chunk[:, 0], chunk[:, 1]
-        sides = (jt[:, ms] == jt[:, tops]) & (mt[:, ms] == mt[:, tops])  # (n, C)
-        col_any = sides.any(axis=0)
-        for k in np.nonzero(col_any)[0]:
-            pentagon_edges.append((int(ms[k]), int(tops[k])))
-        fresh_rows = sides.any(axis=1) & ~bad
-        for side in np.nonzero(fresh_rows)[0]:
-            k = int(sides[side].argmax())
-            # law 1 witness for the side: B = bottom, C = top
-            witnesses[int(side)] = {
-                "law": 1,
-                "b": node_rows(lat, int(ms[k])),
-                "c": node_rows(lat, int(tops[k])),
-            }
-        bad |= sides.any(axis=1)
+        # join and meet are symmetric: rows, not columns, per edge
+        sides = (jt[ms] == jt[tops]) & (mt[ms] == mt[tops])                # (C, n)
+        pentagons.extend(chunk[sides.any(axis=1)].tolist())
+        is_side = sides.any(axis=0)
+        fresh = np.nonzero(is_side & ~bad)[0]
+        # law 1 witness for a new side: B = bottom, C = top of its first edge
+        for side, k in zip(fresh.tolist(), sides[:, fresh].argmax(axis=0).tolist()):
+            witnesses[side] = {"law": 1, "b": node_rows(lat, int(ms[k])),
+                               "c": node_rows(lat, int(tops[k]))}
+        bad |= is_side
     # second law: u fails iff some pentagon (B; m, M) has u <= m and
-    # <B, u> = <B, m>
-    for m_id, top_id in pentagon_edges:
-        down = contain[:, m_id] & ~bad
-        if not down.any():
+    # <B, u> = <B, m>.  All pentagons on one bottom m are decided in one
+    # comparison against the union of their sides; u's witness is its
+    # first edge (lowest top), then that edge's first side.
+    for m_id, group in itertools.groupby(pentagons, key=operator.itemgetter(0)):
+        down = np.nonzero(contain[:, m_id] & ~bad)[0]
+        if not down.size:
             continue
-        sides = (jt[:, m_id] == jt[:, top_id]) & (mt[:, m_id] == mt[:, top_id])
-        down_ids = np.nonzero(down)[0]
-        side_ids = np.nonzero(sides)[0]
-        eq = jt[np.ix_(side_ids, down_ids)] == jt[side_ids, m_id][:, None]
-        hit = eq.any(axis=0)
-        for k in np.nonzero(hit)[0]:
-            u = int(down_ids[k])
+        tops = [top for _, top in group]
+        sides = (jt[tops] == jt[m_id]) & (mt[tops] == mt[m_id])            # (E, n)
+        side_ids = np.nonzero(sides.any(axis=0))[0]
+        member = sides[:, side_ids]                                         # (E, S)
+        eq = jt[np.ix_(side_ids, down)] == jt[side_ids, m_id][:, None]      # (S, D)
+        hits = member @ eq                                                  # (E, D)
+        hit = np.nonzero(hits.any(axis=0))[0]
+        first_edge = hits[:, hit].argmax(axis=0)
+        first_side = (member[first_edge] & eq[:, hit].T).argmax(axis=1)
+        for d, e, b in zip(hit.tolist(), first_edge.tolist(), first_side.tolist()):
+            u = int(down[d])
             bad[u] = True
-            side = int(side_ids[eq[:, k].argmax()])
-            witnesses[u] = {
-                "law": 2,
-                "b": node_rows(lat, side),
-                "c": node_rows(lat, int(top_id)),
-            }
+            witnesses[u] = {"law": 2, "b": node_rows(lat, int(side_ids[b])),
+                            "c": node_rows(lat, tops[e])}
     return ~bad, witnesses
 
 
@@ -249,32 +261,66 @@ def line_matrix(algebra: LieAlgebra) -> np.ndarray:
     return line_index(algebra.dim, algebra.p)[0]
 
 
-def _quasi_ideal_check(algebra: LieAlgebra, space: Subspace):
-    """Verdict plus first violating line for [U, Fx] <= U + Fx."""
-    p, n = algebra.p, algebra.dim
-    if space.dim == 0 or space.dim == n:
-        return True, None
-    lines = line_matrix(algebra)
-    rows = space.rows.astype(np.int64)
-    br = np.einsum("ri,xil->xrl", rows, algebra.line_brackets()) % p   # [u_r, x]
-    piv = list(space.pivots)
-    rho = (br - br[:, :, piv] @ rows) % p                      # residuals mod U
-    xi = (lines - lines[:, piv] @ rows) % p                    # x mod U
-    ok = np.ones(lines.shape[0], dtype=bool)
-    inside = ~xi.any(axis=1)
-    ok[inside] = ~rho[inside].reshape(inside.sum(), -1).any(axis=1)
-    out = ~inside
-    if out.any():
-        lead = (xi[out] != 0).argmax(axis=1)
-        sel = np.arange(out.sum())
-        leadval = xi[out][sel, lead]
-        inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)])
-        lam = rho[out][sel, :, lead] * inv[leadval][:, None] % p
-        recon = lam[:, :, None] * xi[out][:, None, :] % p
-        ok[out] = (recon == rho[out]).reshape(out.sum(), -1).all(axis=1)
-    if ok.all():
-        return True, None
-    return False, [int(v) for v in lines[int(ok.argmin())]]
+def _first_bad_lines(algebra: LieAlgebra, rows: np.ndarray, pivots) -> np.ndarray:
+    """Per base of an (m, k, n) stack of RREF bases that share the pivot
+    columns `pivots`: the column (`line_index` order) of the first line
+    Fx with [U, Fx] not in U + Fx, or -1 when there is none.
+
+    Lines are tested in column order, a block at a time, each block only
+    on the bases that passed every earlier line; blocks of lines and of
+    bases keep each bracket block near `BLOCK_ENTRIES` entries.  With
+    rho_r = [u_r, x] and xi = x, both reduced mod U (so both vanish at
+    the pivot columns), the line passes iff every rho_r equals lam_r xi,
+    lam_r read off at xi's leading column (lam_r = 0 when x lies in U).
+    """
+    m, k, n = rows.shape
+    first = np.full(m, -1, dtype=np.int64)
+    if k in (0, n):
+        return first
+    p, piv = algebra.p, list(pivots)
+    free = [c for c in range(n) if c not in pivots]
+    lines, t = line_matrix(algebra), algebra.line_brackets()   # t[x, i] = [e_i, x]
+    inv = INV_TABLE[p].astype(np.int64)
+    r = rows.astype(np.int64)
+    r_free = r[:, :, free]
+    alive = np.arange(m)
+    start = 0
+    while alive.size and start < len(lines):
+        stop = min(len(lines), start + max(16, BLOCK_ENTRIES // (alive.size * k * n)))
+        x = lines[start:stop]
+        step = max(1, BLOCK_ENTRIES // ((stop - start) * k * n))
+        for c0 in range(0, alive.size, step):
+            ids = alive[c0 : c0 + step]
+            br = r[ids, None] @ t[None, start:stop] % p                        # (s, X, k, n)
+            rho = (br[..., free] - br[..., piv] @ r_free[ids, None]) % p       # (s, X, k, q)
+            xi = (x[:, free] - x[:, piv] @ r_free[ids]) % p                   # (s, X, q)
+            lead = (xi != 0).argmax(axis=2)[..., None]
+            scale = inv[np.take_along_axis(xi, lead, axis=2)]
+            lam = np.take_along_axis(rho, lead[..., None], axis=3) * scale[..., None] % p
+            bad = ((lam * xi[:, :, None, :] - rho) % p).any(axis=(2, 3))     # (s, X)
+            hit = bad.any(axis=1)
+            first[ids[hit]] = start + bad[hit].argmax(axis=1)
+        alive = alive[first[alive] < 0]
+        start = stop
+    return first
+
+
+def _by_pattern(spaces, kernel, dtype) -> np.ndarray:
+    """`kernel(rows, pivots)` on the stacked bases of each pivot pattern
+    among `spaces`, its results put back in the order of `spaces`."""
+    groups: dict[tuple, list[int]] = {}
+    for j, s in enumerate(spaces):
+        groups.setdefault(s.pivots, []).append(j)
+    out = np.empty(len(spaces), dtype=dtype)
+    for pivots, idx in groups.items():
+        out[idx] = kernel(np.stack([spaces[j].rows for j in idx]), pivots)
+    return out
+
+
+def _quasi_witness(algebra: LieAlgebra, space: Subspace) -> dict | None:
+    """{"x": first line Fx with [U, Fx] not in U + Fx}, or None."""
+    col = int(_first_bad_lines(algebra, space.rows[None], space.pivots)[0])
+    return None if col < 0 else {"x": line_matrix(algebra)[col].tolist()}
 
 
 def is_quasi_ideal(lat_or_algebra, u) -> PredicateReport:
@@ -283,19 +329,19 @@ def is_quasi_ideal(lat_or_algebra, u) -> PredicateReport:
     if isinstance(lat_or_algebra, SubalgebraLattice):
         lat = lat_or_algebra
         iu = lat.node_id(u)
-        verdict, bad = _quasi_ideal_check(lat.algebra, lat.nodes[iu])
-        return _report(lat, iu, "quasi_ideal", verdict, None if bad is None else {"x": bad})
+        witness = _quasi_witness(lat.algebra, lat.nodes[iu])
+        return _report(lat, iu, "quasi_ideal", witness is None, witness)
     algebra = lat_or_algebra
     space = u if isinstance(u, Subspace) else Subspace.from_vectors(list(u), algebra.dim, algebra.p)
     if not algebra.is_subalgebra(space):
         raise UsageError("quasi-ideal check expects a subalgebra")
-    verdict, bad = _quasi_ideal_check(algebra, space)
+    witness = _quasi_witness(algebra, space)
     return PredicateReport(
         algebra=algebra.name,
         subalgebra=space.to_digit_rows(),
         predicate="quasi_ideal",
-        verdict=verdict,
-        witness=None if bad is None else {"x": bad},
+        verdict=witness is None,
+        witness=witness,
     )
 
 
@@ -327,15 +373,14 @@ def is_quasi_ideal_bruteforce(algebra: LieAlgebra, u) -> bool:
 
 
 def quasi_ideal_inventory(lat) -> tuple[np.ndarray, dict[int, dict]]:
-    n = len(lat.nodes)
-    out = np.zeros(n, dtype=bool)
-    witnesses: dict[int, dict] = {}
-    for i, s in enumerate(lat.nodes):
-        verdict, bad = _quasi_ideal_check(lat.algebra, s)
-        out[i] = verdict
-        if bad is not None:
-            witnesses[i] = {"x": bad}
-    return out, witnesses
+    """Quasi-ideal verdict for every node, and the first bad line of
+    each failing node as its witness."""
+    alg = lat.algebra
+    first = _by_pattern(lat.nodes, functools.partial(_first_bad_lines, alg), np.int64)
+    lines = line_matrix(alg)
+    witnesses = {int(i): {"x": lines[first[i]].tolist()}
+                 for i in np.nonzero(first >= 0)[0]}
+    return first < 0, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +388,26 @@ def quasi_ideal_inventory(lat) -> tuple[np.ndarray, dict[int, dict]]:
 # ---------------------------------------------------------------------------
 
 def ideal_inventory(lat) -> np.ndarray:
-    return np.array([lat.algebra.is_ideal(s) for s in lat.nodes], dtype=bool)
+    return _by_pattern(lat.nodes, lat.algebra.ideal_mask, bool)
 
 
 def line_node_ids(lat) -> np.ndarray:
     return np.nonzero(lat.dims == 1)[0]
 
 
+def _line_flags(lat, kernel, dtype) -> dict[int, object]:
+    ids = line_node_ids(lat)
+    out = _by_pattern([lat.nodes[int(i)] for i in ids], kernel, dtype)
+    return dict(zip(ids.tolist(), out.tolist()))
+
+
 def ideal_line_flags(lat) -> dict[int, bool]:
-    return {int(i): lat.algebra.is_ideal(lat.nodes[i]) for i in line_node_ids(lat)}
+    return _line_flags(lat, lat.algebra.ideal_mask, bool)
 
 
 def quasi_line_flags(lat) -> dict[int, bool]:
-    return {
-        int(i): _quasi_ideal_check(lat.algebra, lat.nodes[int(i)])[0]
-        for i in line_node_ids(lat)
-    }
+    first = _line_flags(lat, functools.partial(_first_bad_lines, lat.algebra), np.int64)
+    return {i: f < 0 for i, f in first.items()}
 
 
 def _bad_lines(lat, flags) -> np.ndarray:
@@ -481,8 +530,7 @@ def replay_witness(lat, report: PredicateReport) -> bool:
         line = Subspace.from_vectors(w["line"], n, p)
         if report.predicate == "strong_ideal":
             return not lat.algebra.is_ideal(line)
-        verdict, _ = _quasi_ideal_check(lat.algebra, line)
-        return not verdict
+        return _quasi_witness(lat.algebra, line) is not None
     if report.predicate == "one_and_half_generation":
         il = lat.node_id(Subspace.from_vectors([w["x"]], n, p))
         return all(

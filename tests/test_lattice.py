@@ -15,7 +15,7 @@ from liesublat.catalog import (
     sl2,
     witt,
 )
-from liesublat.harness import AlgebraAnalysis, HarnessConfig, HarnessContext
+from liesublat.harness import AlgebraAnalysis, HarnessConfig
 from liesublat.lattice import (
     CacheError,
     SubalgebraLattice,
@@ -308,18 +308,6 @@ def test_lazy_queries_agree_with_tables(algebra):
     for a, b in rng.integers(0, n, size=(300, 2)):
         assert lazy.join(int(a), int(b)) == t.join[a, b]
     assert lazy._tables is None
-
-
-@pytest.fixture(scope="module")
-def universe_sample():
-    """A seeded sample of each part of the default harness universe, plus
-    every non-solvable fixture except psl3 (too large for dense tables)."""
-    ctx = HarnessContext(HarnessConfig())
-    rng = np.random.default_rng(17)
-    algebras = []
-    for part in (ctx.catalog_solvables(), ctx.enumerated(), ctx.randoms()):
-        algebras += [part[int(i)] for i in sorted(rng.choice(len(part), size=25, replace=False))]
-    return algebras + ctx.nonsolvable_fixtures()
 
 
 def test_maximal_subalgebras_match_tables(universe_sample):

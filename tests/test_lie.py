@@ -395,6 +395,29 @@ def test_flags_psl3_simple():
     assert not L.is_solvable()
 
 
+def _is_simple_by_closures(L):
+    """The definition line by line: nonabelian, and every line's ideal
+    closure is the whole algebra."""
+    if L.dim < 2 or L.is_abelian():
+        return False
+    return all(L.ideal_closure([x]).dim == L.dim for x in L.full_space().line_reps())
+
+
+def test_is_simple_matches_per_line_closures(universe_sample):
+    # the direct sums are perfect but not simple: their summand lines
+    # stall below dim L while the diagonal lines reach it
+    extra = [direct_sum(sl2(3), sl2(3)), direct_sum(simple3_char2(), simple3_char2())]
+    seen = set()
+    for L in universe_sample + extra:
+        expected = _is_simple_by_closures(L)
+        assert L.is_simple() == expected
+        flags = L.structural_flags()
+        assert flags.is_simple == expected
+        assert flags.is_three_dim_split_simple == L.is_three_dim_split_simple()
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_witt_positive_part_supersolvable():
     L = witt(5)
     l0 = Subspace.from_vectors(np.eye(5)[1:], 5, 5)

@@ -16,12 +16,15 @@ from liesublat.catalog import (
     simple3_char2,
     sl2,
     strictly_upper,
+    witt,
 )
 from liesublat.lattice import SubalgebraLattice
-from liesublat.linalg import ResourceError, Subspace, UsageError, enumerate_subspaces
+from liesublat.linalg import ResourceError, Subspace, UsageError, enumerate_subspaces, line_index
 from liesublat.predicates import (
+    PredicateReport,
     has_one_and_half_generation,
     ideal_inventory,
+    ideal_line_flags,
     is_lower_modular,
     is_modular,
     is_modular_star,
@@ -33,7 +36,9 @@ from liesublat.predicates import (
     is_strong_quasi_ideal,
     is_upper_modular,
     modular_inventory,
+    node_rows,
     quasi_ideal_inventory,
+    quasi_line_flags,
     replay_witness,
     sm_inventory,
 )
@@ -56,6 +61,23 @@ def lat_sl2_5():
 
 def _node(lat, vectors):
     return lat.node_id(Subspace.from_vectors(vectors, lat.algebra.dim, lat.algebra.p))
+
+
+def _default_random(ctx, name):
+    return next(a for a in ctx.randoms() if a.name == name)
+
+
+def _inventory_digest(verdicts, witnesses):
+    doc = json.dumps([[bool(v), witnesses.get(i)] for i, v in enumerate(verdicts)],
+                     separators=(",", ":"))
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def _replays(lat, predicate, witnesses):
+    return all(
+        replay_witness(lat, PredicateReport(lat.algebra.name, node_rows(lat, u), predicate, False, w))
+        for u, w in witnesses.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +109,21 @@ def test_modular_inventory_matches_per_node(lat_sl2_5):
         rep.witness = w
         rep.verdict = False
         assert replay_witness(lat_sl2_5, rep)
+
+
+def test_modular_inventory_second_law_pinned(default_context):
+    # every node's verdict and witness on the default random(5,5,7), whose
+    # 12 nodes failing only the second law are the law-2 witnesses no
+    # fixture above has; recorded while each pentagon edge was scanned on
+    # its own
+    lat = SubalgebraLattice.build(_default_random(default_context, "random(5,5,7)"))
+    inv, wits = modular_inventory(lat)
+    assert (_inventory_digest(inv, wits)
+            == "3ab8101a112e4ed454ae847eb0e7945a9dd39391ef9ca87a5ef63ad340bb4970")
+    law2 = [u for u, w in wits.items() if w["law"] == 2]
+    assert len(law2) == 12
+    assert not any(is_modular(lat, u).verdict for u in law2)
+    assert _replays(lat, "modular", wits)
 
 
 @pytest.mark.parametrize("algebra,digest", [
@@ -219,6 +256,75 @@ def test_bruteforce_oracle_matches_per_subspace_loop_dim4():
         assert verdict == expected
         rejected += not verdict
     assert rejected == 75
+
+
+_QUASI_PINNED = {
+    "K": (simple3_char2, "4b30a31a6a4a4ee5ee729a3ae308ccaf7a2cdb633c991d768d37600a7a2e8eb6"),
+    "sl2(5)": (lambda: sl2(5), "35d5c261f6228affd9379436ef1a49020c0a3a333e280d8515b8ca8c9e22535e"),
+    "n(4,2)": (lambda: strictly_upper(4, 2),
+               "07ec4e6e527448a39a5e3ef6cd0186edbf468f736227b483957606cc05ae2ff3"),
+    "witt(5)": (lambda: witt(5), "2f3b24c1d85bd3ae520861610861b09e7e6a2c3573e900a061adc6a8f2f362a4"),
+    "random(5,5,7)": (None, "1ff18a41c459e712d3380ed849c696e0ca22d3023135122e2d39e855ae34ce40"),
+}
+
+
+@pytest.mark.parametrize("name", list(_QUASI_PINNED))
+def test_quasi_ideal_witnesses_pinned(default_context, name):
+    # every node's verdict and first bad line, recorded while each node
+    # had its own all-lines check; the point query agrees node by node
+    build, digest = _QUASI_PINNED[name]
+    lat = SubalgebraLattice.build(build() if build else _default_random(default_context, name))
+    quasi, wits = quasi_ideal_inventory(lat)
+    assert _inventory_digest(quasi, wits) == digest
+    assert _replays(lat, "quasi_ideal", wits)
+    for u in range(len(lat)):
+        rep = is_quasi_ideal(lat, u)
+        assert (rep.verdict, rep.witness) == (quasi[u], wits.get(u))
+
+
+def test_quasi_kernel_matches_per_line_definition(universe_sample):
+    # verdict and first bad line against [U, Fx] <= U + Fx written out one
+    # line at a time, on up to 48 seeded nodes of each lattice, and the
+    # verdict against the all-subspaces oracle where it runs (dim <= 4)
+    rng = np.random.default_rng(29)
+    seen = set()
+    for alg in universe_sample:
+        n, p = alg.dim, alg.p
+        lat = SubalgebraLattice.build(alg)
+        quasi, wits = quasi_ideal_inventory(lat)
+        flags = quasi_line_flags(lat)
+        reps = line_index(n, p)[0]
+        lines = [Subspace.from_vectors([x], n, p) for x in reps]
+        ids = range(len(lat)) if len(lat) <= 48 else sorted(rng.choice(len(lat), 48, replace=False))
+        for u in map(int, ids):
+            space = lat.nodes[u]
+            bad = next((j for j, line in enumerate(lines)
+                        if not alg.bracket_spaces(space, line).is_subspace_of(space.sum(line))), -1)
+            assert quasi[u] == (bad < 0)
+            assert wits.get(u) == (None if bad < 0 else {"x": reps[bad].tolist()})
+            if lat.dims[u] == 1:
+                assert flags[u] == quasi[u]
+            if n <= 4:
+                assert quasi[u] == is_quasi_ideal_bruteforce(alg, space)
+            seen.add(bad < 0)
+    assert seen == {True, False}
+
+
+def test_ideal_kernel_matches_definition(universe_sample):
+    seen = set()
+    for alg in universe_sample:
+        lat = SubalgebraLattice.build(alg)
+        full = alg.full_space()
+        ideal = ideal_inventory(lat)
+        flags = ideal_line_flags(lat)
+        for u, space in enumerate(lat.nodes):
+            expected = alg.bracket_spaces(full, space).is_subspace_of(space)
+            assert ideal[u] == expected
+            assert alg.is_ideal(space) == expected
+            if lat.dims[u] == 1:
+                assert flags[u] == expected
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_bruteforce_guard():
