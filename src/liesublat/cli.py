@@ -121,7 +121,7 @@ def cmd_catalog(args) -> int:
             {"name": e.name, "params": list(e.params), "provenance": e.provenance}
             for e in catalog_names()
         ],
-        "suites": {name: SUITES[name][1] for name in suite_names()},
+        "suites": {name: SUITES[name].description for name in suite_names()},
         "omitted_topics": OMITTED_TOPICS,
     }
     lines = ["catalog algebras:"]
@@ -143,12 +143,12 @@ _ANALYZE_PREDICATES = ("modular", "um", "lm", "sm", "quasi_ideal",
 
 
 def cmd_analyze(args) -> int:
-    algebra = _load_algebra(args)
-    lat = build_lattice(algebra, budget=args.max_subspaces, threads=args.threads)
     wanted = [p.strip() for p in args.predicates.split(",") if p.strip()]
     unknown = [p for p in wanted if p not in _ANALYZE_PREDICATES]
     if unknown:
         raise UsageError(f"unknown predicates {unknown}; choose from {_ANALYZE_PREDICATES}")
+    algebra = _load_algebra(args)
+    lat = build_lattice(algebra, budget=args.max_subspaces, threads=args.threads)
     needs_tables = {"modular", "um", "lm", "sm", "modular_star"} & set(wanted)
     if needs_tables and not lat.has_tables():
         raise ResourceError(

@@ -1,11 +1,17 @@
 """Named verification suites over catalog fixtures, exhaustively
 enumerated small tensor universes, and seeded random solvable samples.
 
-Each suite binds algebras, their subalgebra lattices and the lattice
-predicates into a list of assertions and emits a machine-readable
-SuiteReport.  Reports are deterministic for a fixed config and seed;
-`report_digest` hashes everything except wall-clock timings and the
-config fields that only change how a suite runs (`RUN_FIELDS`).
+A suite is one claims function, registered in `SUITES` by the `_suite`
+decorator with its description, its universe (a callable on the
+`HarnessContext`, usually one of its memoised universe methods) and
+whether psl3's analysis is appended when the config includes psl3.
+`run_suite` alone fetches the context, the universe and its analyses,
+starts the clock and builds the `SuiteReport`; the claims function
+reads the analyses and appends its claims with `_claim` (the psl3 suite
+also records stage timings and, past the time budget, `truncated`).
+Reports are deterministic for a fixed config and seed; `report_digest`
+hashes everything except wall-clock timings and the config fields that
+only change how a suite runs (`RUN_FIELDS`).
 
 A claim's status is "pass" or "fail" when the underlying statement is
 asserted, and "reported" for computations whose outcome is recorded but
@@ -18,6 +24,7 @@ import functools
 import hashlib
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -32,7 +39,7 @@ from .catalog import (
 )
 from .lattice import SubalgebraLattice
 from .lie import LieAlgebra
-from .linalg import Subspace, UsageError, count_subspaces
+from .linalg import Subspace, UsageError, count_subspaces, enumerate_subspaces
 
 
 @dataclass(frozen=True)
@@ -213,19 +220,33 @@ class AlgebraAnalysis:
         return None
 
 
+def _universe(build):
+    """A universe method, built once per context and memoised in
+    `_universes` under the method's name."""
+    @functools.wraps(build)
+    def memo(self) -> list[LieAlgebra]:
+        if build.__name__ not in self._universes:
+            self._universes[build.__name__] = build(self)
+        return self._universes[build.__name__]
+    return memo
+
+
 class HarnessContext:
-    """Shared, memoised universe of analysed algebras for one config."""
+    """Shared, memoised universe of analysed algebras for one config.
+    Analyses are keyed by name and structure tensor, so two algebras
+    that share a name but not a tensor get an analysis each."""
 
     def __init__(self, config: HarnessConfig):
         self.config = config
-        self._analyses: dict[str, AlgebraAnalysis] = {}
+        self._analyses: dict[tuple[str, str], AlgebraAnalysis] = {}
         self._universes: dict[str, list[LieAlgebra]] = {}
 
     def analysis(self, algebra: LieAlgebra) -> AlgebraAnalysis:
-        got = self._analyses.get(algebra.name)
+        key = (algebra.name, algebra.sha256())
+        got = self._analyses.get(key)
         if got is None:
             got = AlgebraAnalysis(algebra, self.config)
-            self._analyses[algebra.name] = got
+            self._analyses[key] = got
         return got
 
     def analyses(self, algebras) -> list[AlgebraAnalysis]:
@@ -235,97 +256,65 @@ class HarnessContext:
 
     # -- universes -----------------------------------------------------------
 
-    def _memo(self, key, build):
-        if key not in self._universes:
-            self._universes[key] = build()
-        return self._universes[key]
+    @_universe
+    def catalog_solvables(self):
+        out = []
+        for p in (2, 3, 5, 7):
+            for d in (1, 2, 3):
+                out.append(catalog_build("abelian", dim=d, p=p))
+            out.append(catalog_build("nonabelian2", p=p))
+            out.append(catalog_build("heisenberg", p=p))
+            out.append(catalog_build("almost_abelian", dim=3, p=p))
+            out.append(catalog_build("upper_triangular", n=2, p=p))
+        for p in (2, 3):
+            out.append(catalog_build("abelian", dim=4, p=p))
+            out.append(catalog_build("strictly_upper", n=4, p=p))
+        for p in (2, 3, 5):
+            out.append(catalog_build("almost_abelian", dim=4, p=p))
+        out.append(catalog_build("upper_triangular", n=3, p=2))
+        return out
 
-    def catalog_solvables(self) -> list[LieAlgebra]:
-        def build():
-            out = []
-            for p in (2, 3, 5, 7):
-                for d in (1, 2, 3):
-                    out.append(catalog_build("abelian", dim=d, p=p))
-                out.append(catalog_build("nonabelian2", p=p))
-                out.append(catalog_build("heisenberg", p=p))
-                out.append(catalog_build("almost_abelian", dim=3, p=p))
-                out.append(catalog_build("upper_triangular", n=2, p=p))
-            for p in (2, 3):
-                out.append(catalog_build("abelian", dim=4, p=p))
-                out.append(catalog_build("strictly_upper", n=4, p=p))
-            for p in (2, 3, 5):
-                out.append(catalog_build("almost_abelian", dim=4, p=p))
-            out.append(catalog_build("upper_triangular", n=3, p=2))
-            return out
+    @_universe
+    def enumerated(self):
+        return [a for d, p in self.config.enum_cells for a in enumerate_structures(d, p)]
 
-        return self._memo("catalog_solvables", build)
+    @_universe
+    def randoms(self):
+        out = []
+        for p in self.config.random_primes:
+            for d in self.config.random_dims:
+                for i in range(self.config.random_per_cell):
+                    seed = int(
+                        np.random.SeedSequence([self.config.seed, d, p, i]).generate_state(1)[0]
+                    )
+                    alg = random_solvable(d, p, seed)
+                    alg.name = f"random({d},{p},{i})"
+                    out.append(alg)
+        return out
 
-    def enumerated(self) -> list[LieAlgebra]:
-        def build():
-            out = []
-            for d, p in self.config.enum_cells:
-                out.extend(enumerate_structures(d, p))
-            return out
+    @_universe
+    def solvable_universe(self):
+        solvable = [a for a in self.enumerated() if a.is_solvable()]
+        return self.catalog_solvables() + solvable + self.randoms()
 
-        return self._memo("enumerated", build)
+    @_universe
+    def nonsolvable_fixtures(self):
+        return [
+            catalog_build("K"),
+            catalog_build("sl2", p=3),
+            catalog_build("sl2", p=5),
+            catalog_build("sl2", p=7),
+            catalog_build("witt", p=5),
+        ]
 
-    def randoms(self) -> list[LieAlgebra]:
-        def build():
-            out = []
-            for p in self.config.random_primes:
-                for d in self.config.random_dims:
-                    for i in range(self.config.random_per_cell):
-                        seed = int(
-                            np.random.SeedSequence(
-                                [self.config.seed, d, p, i]
-                            ).generate_state(1)[0]
-                        )
-                        alg = random_solvable(d, p, seed)
-                        alg.name = f"random({d},{p},{i})"
-                        out.append(alg)
-            return out
+    @_universe
+    def full_universe(self):
+        return (self.catalog_solvables() + self.enumerated() + self.randoms()
+                + self.nonsolvable_fixtures())
 
-        return self._memo("randoms", build)
-
-    def solvable_universe(self) -> list[LieAlgebra]:
-        def build():
-            out = list(self.catalog_solvables())
-            out.extend(a for a in self.enumerated() if a.is_solvable())
-            out.extend(self.randoms())
-            return out
-
-        return self._memo("solvable_universe", build)
-
-    def nonsolvable_fixtures(self) -> list[LieAlgebra]:
-        def build():
-            return [
-                catalog_build("K"),
-                catalog_build("sl2", p=3),
-                catalog_build("sl2", p=5),
-                catalog_build("sl2", p=7),
-                catalog_build("witt", p=5),
-            ]
-
-        return self._memo("nonsolvable_fixtures", build)
-
-    def full_universe(self) -> list[LieAlgebra]:
-        def build():
-            out = list(self.catalog_solvables())
-            out.extend(self.enumerated())
-            out.extend(self.randoms())
-            out.extend(self.nonsolvable_fixtures())
-            return out
-
-        return self._memo("full_universe", build)
-
-    def p57_universe(self) -> list[LieAlgebra]:
-        def build():
-            return [a for a in self.full_universe() if a.p in (5, 7)]
-
-        return self._memo("p57", build)
-
-    def psl3(self) -> AlgebraAnalysis:
-        return self.analysis(psl3_char3())
+    @_universe
+    def p57_universe(self):
+        return [a for a in self.full_universe() if a.p in (5, 7)]
 
 
 _CONTEXTS: dict[HarnessConfig, HarnessContext] = {}
@@ -390,8 +379,8 @@ def _universe_doc(config, algebras) -> dict:
     }
 
 
-def _claim(claims, name, ok, details=None, status=None):
-    claims.append(
+def _claim(report, name, ok, details=None, status=None):
+    report.assertions.append(
         {
             "claim": name,
             "status": status or ("pass" if ok else "fail"),
@@ -400,49 +389,58 @@ def _claim(claims, name, ok, details=None, status=None):
     )
 
 
+def _node(an, u, **extra) -> dict:
+    """A violation entry: the algebra, the basis rows of its node u, and `extra`."""
+    return {"algebra": an.name, "node": P.node_rows(an.lat, u), **extra}
+
+
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
-def _suite_solvable_equivalence(config) -> SuiteReport:
-    ctx = context(config)
-    t0 = time.monotonic()
-    algebras = ctx.solvable_universe()
-    analyses = ctx.analyses(algebras)
+@dataclass(frozen=True)
+class Suite:
+    claims: Callable        # (report, analyses, deadline) -> None
+    description: str
+    universe: Callable      # HarnessContext -> list[LieAlgebra]
+    psl3: bool = False      # append psl3's analysis when the config includes it
+
+
+SUITES: dict[str, Suite] = {}
+
+
+def _suite(name, description, universe, psl3=False):
+    """Register the decorated claims function as the suite `name`."""
+    def register(claims):
+        SUITES[name] = Suite(claims, description, universe, psl3)
+        return claims
+    return register
+
+
+@_suite("solvable-equivalence",
+        "modular, semi-modular and quasi-ideal coincide on solvable algebras",
+        HarnessContext.solvable_universe)
+def _solvable_equivalence(report, analyses, deadline):
     pairs = {
         "modular-iff-sm": lambda an: an.modular != an.sm,
         "sm-iff-quasi-ideal": lambda an: an.sm != an.quasi,
         "modular-iff-quasi-ideal": lambda an: an.modular != an.quasi,
     }
-    claims = []
+    nodes = sum(an.n_nodes for an in analyses)
     for name, mismatch in pairs.items():
-        bad = []
-        nodes = 0
-        for an in analyses:
-            nodes += an.n_nodes
-            m = mismatch(an)
-            if m.any():
-                i = int(m.argmax())
-                bad.append({"algebra": an.name, "node": P.node_rows(an.lat, i)})
+        bad = [_node(an, int(m.argmax())) for an in analyses if (m := mismatch(an)).any()]
         _claim(
-            claims,
+            report,
             name,
             not bad,
             {"algebras": len(analyses), "nodes_checked": nodes, "violations": sorted(bad, key=str)},
         )
-    return SuiteReport(
-        "solvable-equivalence",
-        _universe_doc(config, algebras),
-        claims,
-        {"total_secs": time.monotonic() - t0},
-    )
 
 
-def _suite_solvable_corefree(config) -> SuiteReport:
-    ctx = context(config)
-    t0 = time.monotonic()
-    algebras = ctx.solvable_universe()
-    analyses = ctx.analyses(algebras)
+@_suite("solvable-corefree",
+        "core-free sm subalgebras of solvable algebras are atoms of almost abelian algebras",
+        HarnessContext.solvable_universe)
+def _solvable_corefree(report, analyses, deadline):
     bad = []
     checked = 0
     for an in analyses:
@@ -453,44 +451,27 @@ def _suite_solvable_corefree(config) -> SuiteReport:
                 continue
             checked += 1
             if d != 1 or not an.flags.is_almost_abelian:
-                bad.append({"algebra": an.name, "node": P.node_rows(an.lat, u)})
-    claims = []
-    _claim(
-        claims,
-        "corefree-sm-is-atom-of-almost-abelian",
-        not bad,
-        {"corefree_sm_nodes": checked, "violations": sorted(bad, key=str)},
-    )
-    return SuiteReport(
-        "solvable-corefree",
-        _universe_doc(config, algebras),
-        claims,
-        {"total_secs": time.monotonic() - t0},
-    )
+                bad.append(_node(an, u))
+    _claim(report, "corefree-sm-is-atom-of-almost-abelian", not bad,
+           {"corefree_sm_nodes": checked, "violations": sorted(bad, key=str)})
 
 
-def _suite_psl3(config) -> SuiteReport:
-    ctx = context(config)
-    start = time.monotonic()
-    deadline = start + config.time_budget_secs
-    timings = {}
-    claims = []
-    algebra = psl3_char3()
-
-    an = ctx.psl3()
+@_suite("psl3",
+        "psl3 over GF(3): triple subalgebras and absence of maximal sm subalgebras",
+        lambda ctx: [psl3_char3()])
+def _psl3(report, analyses, deadline):
+    an = analyses[0]
     lat = an.lat
+    timings = report.timings
     timings["analysis_secs"] = an.analysis_secs
     timings["enumeration_secs"] = an.build_secs
     timings["candidates"] = count_subspaces(7, 3)
     timings["throughput_per_sec"] = (
         timings["candidates"] / an.build_secs if an.build_secs else None
     )
-    report = lambda: SuiteReport(
-        "psl3", _universe_doc(config, [algebra]), claims, timings
-    )
 
     _claim(
-        claims,
+        report,
         "node-count",
         True,
         {"nodes": an.n_nodes, "by_dim": {str(k): v for k, v in sorted(lat.counts_by_dim().items())}},
@@ -510,7 +491,7 @@ def _suite_psl3(config) -> SuiteReport:
                 b_ids[(i, j)] = lat.node_id(s)
             except UsageError:
                 missing.append([i, j])
-    _claim(claims, "opposite-sign-triples-are-subalgebras", not missing,
+    _claim(report, "opposite-sign-triples-are-subalgebras", not missing,
            {"count": len(b_ids), "missing": missing})
 
     two_dim_not_maximal = []
@@ -527,23 +508,22 @@ def _suite_psl3(config) -> SuiteReport:
                 non_2dim_maximal.append(
                     {"pair": [i, j], "node": P.node_rows(lat, m), "dim": int(lat.dims[m])}
                 )
-    _claim(claims, "two-dim-span-maximal-in-triple", not two_dim_not_maximal,
+    _claim(report, "two-dim-span-maximal-in-triple", not two_dim_not_maximal,
            {"failures": two_dim_not_maximal})
     # over GF(3) this one is genuinely false: the triple algebras contain
     # maximal one-dimensional subalgebras spanned by elements whose adjoint
     # action has an irreducible quadratic factor (non-split tori)
-    _claim(claims, "triple-maximal-subalgebras-all-two-dim", not non_2dim_maximal,
+    _claim(report, "triple-maximal-subalgebras-all-two-dim", not non_2dim_maximal,
            {"counterexamples": sorted(non_2dim_maximal, key=str)[:4],
             "count": len(non_2dim_maximal)})
     timings["structure_secs"] = time.monotonic() - t0
     if time.monotonic() > deadline:
-        rep = report()
-        rep.truncated = "time budget exceeded after structure checks"
-        return rep
+        report.truncated = "time budget exceeded after structure checks"
+        return
 
     maxima = an.maxima
     timings["maximal_secs"] = an.maximal_secs
-    _claim(claims, "maximal-count", True,
+    _claim(report, "maximal-count", True,
            {"count": len(maxima), "dims": sorted({int(lat.dims[m]) for m in maxima})},
            status="reported")
 
@@ -562,30 +542,25 @@ def _suite_psl3(config) -> SuiteReport:
         if witness is None:
             unrefuted.append(P.node_rows(lat, M))
     timings["refutation_secs"] = time.monotonic() - t0
-    _claim(claims, "no-maximal-sm", not unrefuted,
+    _claim(report, "no-maximal-sm", not unrefuted,
            {"maximal_checked": len(maxima), "sm_maximal": unrefuted})
-    timings["total_secs"] = time.monotonic() - start
-    return report()
 
 
-def _suite_k_example(config) -> SuiteReport:
-    ctx = context(config)
-    t0 = time.monotonic()
-    algebra = simple3_char2()
-    an = ctx.analysis(algebra)
-    lat = an.lat
-    claims = []
+@_suite("K-example",
+        "the three-dimensional simple algebra over GF(2) and its distinguished line",
+        lambda ctx: [simple3_char2()])
+def _k_example(report, analyses, deadline):
+    an = analyses[0]
+    algebra, lat = an.algebra, an.lat
 
     # independent oracle: closure under the bracket on all vector pairs
-    from .linalg import enumerate_subspaces
-
     expected = []
     for s in enumerate_subspaces(3, 2):
         vecs = list(s.vectors())
         if all(s.contains(algebra.bracket(x, y)) for x in vecs for y in vecs):
             expected.append(s.key)
     _claim(
-        claims,
+        report,
         "lattice-is-the-12-predicted-nodes",
         [s.key for s in lat.nodes] == expected and len(expected) == 12,
         {"nodes": an.n_nodes, "by_dim": {str(k): v for k, v in sorted(lat.counts_by_dim().items())}},
@@ -593,11 +568,11 @@ def _suite_k_example(config) -> SuiteReport:
 
     fc = lat.node_id(Subspace.from_vectors([(0, 0, 1)], 3, 2))
     quasi_atoms = [int(i) for i in an.line_ids if an.quasi[i]]
-    _claim(claims, "unique-one-dim-quasi-ideal-is-Fc", quasi_atoms == [fc],
+    _claim(report, "unique-one-dim-quasi-ideal-is-Fc", quasi_atoms == [fc],
            {"quasi_atoms": [P.node_rows(lat, i) for i in quasi_atoms]})
-    _claim(claims, "simple", an.flags.is_simple, {})
-    _claim(claims, "Fc-is-core-free", algebra.core(lat.nodes[fc]).dim == 0, {})
-    _claim(claims, "frattini-is-Fc", an.frattini_id == fc,
+    _claim(report, "simple", an.flags.is_simple, {})
+    _claim(report, "Fc-is-core-free", algebra.core(lat.nodes[fc]).dim == 0, {})
+    _claim(report, "frattini-is-Fc", an.frattini_id == fc,
            {"frattini": P.node_rows(lat, an.frattini_id)})
 
     # the Frattini property in person: two vectors that are independent
@@ -613,30 +588,20 @@ def _suite_k_example(config) -> SuiteReport:
             pair_count += 1
             if algebra.generated_subalgebra([x, y]).dim != 3:
                 bad_pairs.append([x.tolist(), y.tolist()])
-    _claim(claims, "pairs-independent-mod-Fc-generate", not bad_pairs,
+    _claim(report, "pairs-independent-mod-Fc-generate", not bad_pairs,
            {"pairs": pair_count, "failures": bad_pairs})
 
     # characteristic two leaves the sm verdict for Fc outside the asserted
     # theory: computed and reported, never asserted
-    _claim(claims, "sm-verdict-of-Fc", True,
+    _claim(report, "sm-verdict-of-Fc", True,
            {"semi_modular": bool(an.sm[fc]), "modular": bool(an.modular[fc])},
            status="reported")
-    return SuiteReport(
-        "K-example",
-        _universe_doc(config, [algebra]),
-        claims,
-        {"total_secs": time.monotonic() - t0},
-    )
 
 
-def _suite_sm_implies_local(config) -> SuiteReport:
-    ctx = context(config)
-    t0 = time.monotonic()
-    algebras = ctx.solvable_universe() + ctx.nonsolvable_fixtures()
-    analyses = ctx.analyses(algebras)
-    if config.include_psl3:
-        analyses = analyses + [ctx.psl3()]
-        algebras = algebras + [analyses[-1].algebra]
+@_suite("sm-implies-local",
+        "proper sm subalgebras are maximal and modular in every join with an outside line",
+        lambda ctx: ctx.solvable_universe() + ctx.nonsolvable_fixtures(), psl3=True)
+def _sm_implies_local(report, analyses, deadline):
     bad_max = []
     bad_mod = []
     quasi_not_sm = []
@@ -644,31 +609,20 @@ def _suite_sm_implies_local(config) -> SuiteReport:
     for an in analyses:
         # quasi-ideals are always semi-modular, solvable or not
         if an.quasi_not_sm is not None:
-            quasi_not_sm.append(
-                {"algebra": an.name, "node": P.node_rows(an.lat, an.quasi_not_sm)}
-            )
+            quasi_not_sm.append(_node(an, an.quasi_not_sm))
         for u, entry in an.local.items():
             checked += 1
             if not entry["maximal_ok"]:
-                bad_max.append({"algebra": an.name, "node": P.node_rows(an.lat, u),
-                                "join": entry.get("bad_join")})
+                bad_max.append(_node(an, u, join=entry.get("bad_join")))
             if not entry["modular_ok"]:
-                bad_mod.append({"algebra": an.name, "node": P.node_rows(an.lat, u),
-                                "join": entry.get("bad_join"),
-                                "witness": entry.get("witness")})
-    claims = []
-    _claim(claims, "proper-sm-node-maximal-in-every-join-with-a-line", not bad_max,
+                bad_mod.append(_node(an, u, join=entry.get("bad_join"),
+                                     witness=entry.get("witness")))
+    _claim(report, "proper-sm-node-maximal-in-every-join-with-a-line", not bad_max,
            {"sm_nodes_checked": checked, "violations": sorted(bad_max, key=str)})
-    _claim(claims, "proper-sm-node-modular-in-every-such-join", not bad_mod,
+    _claim(report, "proper-sm-node-modular-in-every-such-join", not bad_mod,
            {"violations": sorted(bad_mod, key=str)})
-    _claim(claims, "quasi-ideals-are-semi-modular", not quasi_not_sm,
+    _claim(report, "quasi-ideals-are-semi-modular", not quasi_not_sm,
            {"violations": sorted(quasi_not_sm, key=str)})
-    return SuiteReport(
-        "sm-implies-local",
-        _universe_doc(config, algebras),
-        claims,
-        {"total_secs": time.monotonic() - t0},
-    )
 
 
 def _is_K_case(an, u) -> bool:
@@ -680,14 +634,10 @@ def _is_K_case(an, u) -> bool:
     return u == an.frattini_id and int(an.lat.dims[u]) == 1
 
 
-def _suite_strong_quasi_ideal(config) -> SuiteReport:
-    ctx = context(config)
-    t0 = time.monotonic()
-    algebras = ctx.full_universe()
-    analyses = ctx.analyses(algebras)
-    if config.include_psl3:
-        analyses = analyses + [ctx.psl3()]
-        algebras = algebras + [analyses[-1].algebra]
+@_suite("strong-quasi-ideal",
+        "strong quasi-ideal trichotomy and the modular* strengthening",
+        HarnessContext.full_universe, psl3=True)
+def _strong_quasi_ideal(report, analyses, deadline):
     tri_bad = []
     star_bad = []
     strong_count = 0
@@ -703,14 +653,11 @@ def _suite_strong_quasi_ideal(config) -> SuiteReport:
             if _is_K_case(an, u):
                 k_branch_hits += 1
                 continue
-            tri_bad.append({"algebra": an.name, "node": P.node_rows(an.lat, u)})
+            tri_bad.append(_node(an, u))
         # a proper quasi-ideal that is modular* must be a strong quasi-ideal
-        for u, star in an.star.items():
-            if star and not an.strong_quasi[u]:
-                star_bad.append({"algebra": an.name, "node": P.node_rows(an.lat, u)})
-    claims = []
+        star_bad += [_node(an, u) for u, star in an.star.items() if star and not an.strong_quasi[u]]
     _claim(
-        claims,
+        report,
         "strong-quasi-ideal-trichotomy",
         not tri_bad,
         {
@@ -719,21 +666,13 @@ def _suite_strong_quasi_ideal(config) -> SuiteReport:
             "violations": sorted(tri_bad, key=str),
         },
     )
-    _claim(claims, "modular-star-quasi-ideal-is-strong", not star_bad,
+    _claim(report, "modular-star-quasi-ideal-is-strong", not star_bad,
            {"violations": sorted(star_bad, key=str)})
-    return SuiteReport(
-        "strong-quasi-ideal",
-        _universe_doc(config, algebras),
-        claims,
-        {"total_secs": time.monotonic() - t0},
-    )
 
 
-def _suite_sm_atoms(config) -> SuiteReport:
-    ctx = context(config)
-    t0 = time.monotonic()
-    algebras = ctx.full_universe()
-    analyses = ctx.analyses(algebras)
+@_suite("sm-atoms", "one-dimensional sm subalgebras over GF(5) and GF(7)",
+        HarnessContext.full_universe)
+def _sm_atoms(report, analyses, deadline):
     fwd_bad = []
     back_bad = []
     char23_exceptions = []
@@ -752,34 +691,26 @@ def _suite_sm_atoms(config) -> SuiteReport:
             if asserted:
                 atoms_checked += 1
                 if an.sm[u] and not (case_i or case_ii):
-                    fwd_bad.append({"algebra": an.name, "node": P.node_rows(an.lat, u)})
+                    fwd_bad.append(_node(an, u))
                 if (case_i or case_ii) and not an.sm[u]:
-                    back_bad.append({"algebra": an.name, "node": P.node_rows(an.lat, u)})
+                    back_bad.append(_node(an, u))
             elif an.sm[u] and not (case_i or case_ii):
-                char23_exceptions.append({"algebra": an.name, "node": P.node_rows(an.lat, u)})
-    claims = []
-    _claim(claims, "sm-atom-is-ideal-or-almost-abelian-scalar", not fwd_bad,
+                char23_exceptions.append(_node(an, u))
+    _claim(report, "sm-atom-is-ideal-or-almost-abelian-scalar", not fwd_bad,
            {"atoms_checked": atoms_checked, "violations": sorted(fwd_bad, key=str)})
-    _claim(claims, "ideal-or-scalar-atom-is-sm", not back_bad,
+    _claim(report, "ideal-or-scalar-atom-is-sm", not back_bad,
            {"violations": sorted(back_bad, key=str)})
-    _claim(claims, "no-mu-algebras", not mu_hits, {"mu_algebras": mu_hits})
-    _claim(claims, "char-2-3-sm-atoms-outside-both-cases", True,
+    _claim(report, "no-mu-algebras", not mu_hits, {"mu_algebras": mu_hits})
+    _claim(report, "char-2-3-sm-atoms-outside-both-cases", True,
            {"count": len(char23_exceptions),
             "examples": sorted(char23_exceptions, key=str)[:5]},
            status="reported")
-    return SuiteReport(
-        "sm-atoms",
-        _universe_doc(config, algebras),
-        claims,
-        {"total_secs": time.monotonic() - t0},
-    )
 
 
-def _suite_two_dim(config) -> SuiteReport:
-    ctx = context(config)
-    t0 = time.monotonic()
-    algebras = ctx.p57_universe()
-    analyses = ctx.analyses(algebras)
+@_suite("two-dim",
+        "two-dimensional core-free sm subalgebras force a split simple ambient",
+        HarnessContext.p57_universe)
+def _two_dim(report, analyses, deadline):
     bad = []
     hits = 0
     for an in analyses:
@@ -791,34 +722,22 @@ def _suite_two_dim(config) -> SuiteReport:
                 continue
             hits += 1
             if not an.flags.is_three_dim_split_simple:
-                bad.append({"algebra": an.name, "node": P.node_rows(an.lat, u)})
-    claims = []
-    _claim(claims, "corefree-two-dim-sm-forces-split-simple-ambient", not bad,
+                bad.append(_node(an, u))
+    _claim(report, "corefree-two-dim-sm-forces-split-simple-ambient", not bad,
            {"instances": hits, "violations": sorted(bad, key=str)})
 
     # positive control: a Borel of sl2 over GF(5) is sm and core-free
-    sl2_5 = next(a for a in algebras if a.name == "sl2(5)")
-    an5 = ctx.analysis(sl2_5)
+    an5 = next(an for an in analyses if an.name == "sl2(5)")
     borel = an5.lat.node_id(Subspace.from_vectors([(1, 0, 0), (0, 1, 0)], 3, 5))
-    borel_ok = bool(an5.sm[borel]) and sl2_5.core(an5.lat.nodes[borel]).dim == 0
-    _claim(claims, "sl2-borel-is-sm-and-corefree", borel_ok,
+    borel_ok = bool(an5.sm[borel]) and an5.algebra.core(an5.lat.nodes[borel]).dim == 0
+    _claim(report, "sl2-borel-is-sm-and-corefree", borel_ok,
            {"sm": bool(an5.sm[borel]), "modular": bool(an5.modular[borel])})
-    return SuiteReport(
-        "two-dim",
-        _universe_doc(config, algebras),
-        claims,
-        {"total_secs": time.monotonic() - t0},
-    )
 
 
-def _suite_gen15(config) -> SuiteReport:
-    ctx = context(config)
-    t0 = time.monotonic()
-    algebras = ctx.full_universe()
-    analyses = ctx.analyses(algebras)
-    if config.include_psl3:
-        analyses = analyses + [ctx.psl3()]
-        algebras = algebras + [analyses[-1].algebra]
+@_suite("gen15",
+        "one-and-a-half generation makes every sm subalgebra modular and maximal",
+        HarnessContext.full_universe, psl3=True)
+def _gen15(report, analyses, deadline):
     bad = []
     holders = []
     for an in analyses:
@@ -832,118 +751,68 @@ def _suite_gen15(config) -> SuiteReport:
             if u == an.lat.top_id or an.lat.dims[u] == 0:
                 continue
             if not (an.modular[u] and an.maximal_top[u]):
-                bad.append({"algebra": an.name, "node": P.node_rows(an.lat, u),
-                            "modular": bool(an.modular[u]),
-                            "maximal": bool(an.maximal_top[u])})
-    claims = []
-    _claim(claims, "sm-nodes-of-generating-algebras-are-modular-maximal", not bad,
+                bad.append(_node(an, u, modular=bool(an.modular[u]),
+                                 maximal=bool(an.maximal_top[u])))
+    _claim(report, "sm-nodes-of-generating-algebras-are-modular-maximal", not bad,
            {"holders": len(holders), "violations": sorted(bad, key=str)})
     fixture_verdicts = {
         an.name: bool(an.gen15)
         for an in analyses
         if an.name in ("K", "sl2(3)", "sl2(5)", "sl2(7)", "witt(5)", "psl3_char3")
     }
-    _claim(claims, "one-and-half-generation-verdicts", True,
+    _claim(report, "one-and-half-generation-verdicts", True,
            {"fixtures": fixture_verdicts}, status="reported")
-    return SuiteReport(
-        "gen15",
-        _universe_doc(config, algebras),
-        claims,
-        {"total_secs": time.monotonic() - t0},
-    )
 
 
-def _suite_witt(config) -> SuiteReport:
-    ctx = context(config)
-    t0 = time.monotonic()
-    algebra = catalog_build("witt", p=5)
-    an = ctx.analysis(algebra)
-    lat = an.lat
+@_suite("witt", "the Witt algebra over GF(5): its non-negative part and sm inventory",
+        lambda ctx: [catalog_build("witt", p=5)])
+def _witt(report, analyses, deadline):
+    an = analyses[0]
+    algebra, lat = an.algebra, an.lat
     l0 = Subspace.from_vectors(np.eye(5, dtype=np.int64)[1:], 5, 5)
-    claims = []
     try:
         l0_id = lat.node_id(l0)
     except UsageError:
         l0_id = None
-    _claim(claims, "nonnegative-part-is-a-node", l0_id is not None, {})
+    _claim(report, "nonnegative-part-is-a-node", l0_id is not None, {})
     if l0_id is not None:
-        _claim(claims, "nonnegative-part-codim-one",
+        _claim(report, "nonnegative-part-codim-one",
                int(lat.dims[l0_id]) == algebra.dim - 1, {})
-        _claim(claims, "nonnegative-part-solvable",
+        _claim(report, "nonnegative-part-solvable",
                algebra.is_solvable(lat.nodes[l0_id]), {})
-        _claim(claims, "nonnegative-part-supersolvable",
+        _claim(report, "nonnegative-part-supersolvable",
                algebra.restricted_to(lat.nodes[l0_id]).is_supersolvable(), {})
-    modular_nodes = [P.node_rows(lat, int(i)) for i in np.nonzero(an.modular)[0]]
-    sm_nodes = [P.node_rows(lat, int(i)) for i in np.nonzero(an.sm)[0]]
     proper_sm = [int(i) for i in np.nonzero(an.sm)[0] if i not in (lat.zero_id, lat.top_id)]
-    _claim(claims, "modular-and-sm-inventory", True,
+    _claim(report, "modular-and-sm-inventory", True,
            {
-               "modular_count": len(modular_nodes),
-               "sm_count": len(sm_nodes),
+               "modular_count": int(an.modular.sum()),
+               "sm_count": int(an.sm.sum()),
                "proper_sm_nodes": [P.node_rows(lat, i) for i in proper_sm],
                "nonnegative-part-is-unique-proper-sm":
                    l0_id is not None and proper_sm == [l0_id],
            },
            status="reported")
-    return SuiteReport(
-        "witt",
-        _universe_doc(config, [algebra]),
-        claims,
-        {"total_secs": time.monotonic() - t0},
-    )
-
-
-SUITES = {
-    "solvable-equivalence": (
-        _suite_solvable_equivalence,
-        "modular, semi-modular and quasi-ideal coincide on solvable algebras",
-    ),
-    "solvable-corefree": (
-        _suite_solvable_corefree,
-        "core-free sm subalgebras of solvable algebras are atoms of almost abelian algebras",
-    ),
-    "psl3": (
-        _suite_psl3,
-        "psl3 over GF(3): triple subalgebras and absence of maximal sm subalgebras",
-    ),
-    "K-example": (
-        _suite_k_example,
-        "the three-dimensional simple algebra over GF(2) and its distinguished line",
-    ),
-    "sm-implies-local": (
-        _suite_sm_implies_local,
-        "proper sm subalgebras are maximal and modular in every join with an outside line",
-    ),
-    "strong-quasi-ideal": (
-        _suite_strong_quasi_ideal,
-        "strong quasi-ideal trichotomy and the modular* strengthening",
-    ),
-    "sm-atoms": (
-        _suite_sm_atoms,
-        "one-dimensional sm subalgebras over GF(5) and GF(7)",
-    ),
-    "two-dim": (
-        _suite_two_dim,
-        "two-dimensional core-free sm subalgebras force a split simple ambient",
-    ),
-    "gen15": (
-        _suite_gen15,
-        "one-and-a-half generation makes every sm subalgebra modular and maximal",
-    ),
-    "witt": (
-        _suite_witt,
-        "the Witt algebra over GF(5): its non-negative part and sm inventory",
-    ),
-}
 
 
 def run_suite(name: str, config: HarnessConfig | None = None) -> SuiteReport:
+    """Run one suite in the config's context: analyse its universe (and
+    psl3, when the suite asks for it and the config includes it), then
+    let its claims function fill the report.  The clock and the time
+    budget's deadline start before the universe is fetched."""
     config = config or DEFAULT_CONFIG
-    entry = SUITES.get(name)
-    if entry is None:
+    suite = SUITES.get(name)
+    if suite is None:
         raise UsageError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    report = entry[0](config)
-    report.run = {k: getattr(config, k) for k in RUN_FIELDS}
+    ctx = context(config)
+    t0 = time.monotonic()
+    algebras = suite.universe(ctx)
+    if suite.psl3 and config.include_psl3:
+        algebras = algebras + [psl3_char3()]
+    analyses = ctx.analyses(algebras)
+    report = SuiteReport(name, _universe_doc(config, algebras), [], {},
+                         run={k: getattr(config, k) for k in RUN_FIELDS})
+    suite.claims(report, analyses, t0 + config.time_budget_secs)
+    report.timings["total_secs"] = time.monotonic() - t0
     return report
 
 

@@ -395,18 +395,20 @@ def line_node_ids(lat) -> np.ndarray:
     return np.nonzero(lat.dims == 1)[0]
 
 
-def _line_flags(lat, kernel, dtype) -> dict[int, object]:
-    ids = line_node_ids(lat)
+def _line_flags(lat, kernel, dtype, ids=None) -> dict[int, object]:
+    ids = line_node_ids(lat) if ids is None else ids
     out = _by_pattern([lat.nodes[int(i)] for i in ids], kernel, dtype)
     return dict(zip(ids.tolist(), out.tolist()))
 
 
-def ideal_line_flags(lat) -> dict[int, bool]:
-    return _line_flags(lat, lat.algebra.ideal_mask, bool)
+def ideal_line_flags(lat, ids=None) -> dict[int, bool]:
+    """Ideal verdict of each line node (of the line nodes `ids`, if given)."""
+    return _line_flags(lat, lat.algebra.ideal_mask, bool, ids)
 
 
-def quasi_line_flags(lat) -> dict[int, bool]:
-    first = _line_flags(lat, functools.partial(_first_bad_lines, lat.algebra), np.int64)
+def quasi_line_flags(lat, ids=None) -> dict[int, bool]:
+    """Quasi-ideal verdict of each line node (of the line nodes `ids`, if given)."""
+    first = _line_flags(lat, functools.partial(_first_bad_lines, lat.algebra), np.int64, ids)
     return {i: f < 0 for i, f in first.items()}
 
 
@@ -424,21 +426,24 @@ def strong_inventory(lat, flags) -> np.ndarray:
     return ~(lat.incidence & bad).any(axis=1)
 
 
-def _strong_report(lat, u, flags, predicate) -> PredicateReport:
+def _strong_report(lat, u, line_flags, predicate) -> PredicateReport:
+    """Flags only the lines inside u; the witness is the first bad one in
+    column order."""
     iu = lat.node_id(u)
-    bad = lat.line_rows(iu) & _bad_lines(lat, flags)
-    if not bad.any():
+    ids = line_node_ids(lat)[lat.line_rows(iu)]
+    flags = line_flags(lat, ids)
+    bad = [i for i in ids.tolist() if not flags[i]]
+    if not bad:
         return _report(lat, iu, predicate, True)
-    line = int(line_node_ids(lat)[bad.argmax()])
-    return _report(lat, iu, predicate, False, {"line": node_rows(lat, line)})
+    return _report(lat, iu, predicate, False, {"line": node_rows(lat, bad[0])})
 
 
 def is_strong_ideal(lat, u) -> PredicateReport:
-    return _strong_report(lat, u, ideal_line_flags(lat), "strong_ideal")
+    return _strong_report(lat, u, ideal_line_flags, "strong_ideal")
 
 
 def is_strong_quasi_ideal(lat, u) -> PredicateReport:
-    return _strong_report(lat, u, quasi_line_flags(lat), "strong_quasi_ideal")
+    return _strong_report(lat, u, quasi_line_flags, "strong_quasi_ideal")
 
 
 # ---------------------------------------------------------------------------

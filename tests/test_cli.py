@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from liesublat import cli
 from liesublat.cli import SchemaError, main, validate_algebra_doc
 from liesublat.catalog import simple3_char2
 
@@ -66,9 +67,16 @@ def test_analyze_dim_filter(capsys):
     assert sum(n["predicates"]["quasi_ideal"] for n in doc["nodes"]) == 1
 
 
-def test_analyze_unknown_predicate(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--algebra", "K", "--predicates", "bogus")
-    assert code == 2 and "bogus" in err
+def test_analyze_unknown_predicate(capsys, monkeypatch):
+    # the predicate list is checked before any lattice is built, so a bad
+    # name exits at once even for psl3's 2.05M-candidate sweep
+    def no_build(*args, **kwargs):
+        raise AssertionError("lattice built before the predicates were checked")
+
+    monkeypatch.setattr(cli, "build_lattice", no_build)
+    for algebra in ("K", "psl3_char3"):
+        code, _, err = run_cli(capsys, "analyze", "--algebra", algebra, "--predicates", "bogus")
+        assert code == 2 and "bogus" in err
 
 
 def test_analyze_needs_params(capsys):

@@ -35,12 +35,14 @@ from liesublat.predicates import (
     is_strong_ideal,
     is_strong_quasi_ideal,
     is_upper_modular,
+    line_node_ids,
     modular_inventory,
     node_rows,
     quasi_ideal_inventory,
     quasi_line_flags,
     replay_witness,
     sm_inventory,
+    strong_inventory,
 )
 
 
@@ -355,6 +357,33 @@ def test_strong_flags_K(lat_K):
     assert replay_witness(lat_K, rep)
     assert is_strong_quasi_ideal(lat_K, fc).verdict
     assert is_strong_ideal(lat_K, lat_K.zero_id).verdict  # vacuous
+
+
+def test_strong_point_queries_match_inventories(universe_sample):
+    # a point query flags only the lines inside its node: its verdict must
+    # equal the strong inventory built from the whole-lattice inventories,
+    # and its witness the first bad line of the node in column order
+    rng = np.random.default_rng(31)
+    seen = set()
+    for alg in universe_sample:
+        lat = SubalgebraLattice.build(alg)
+        lines = line_node_ids(lat)
+        sample = range(len(lat)) if len(lat) <= 48 else rng.choice(len(lat), 48, replace=False)
+        ids = sorted({int(u) for u in sample} | {lat.top_id})
+        for inventory, query in ((ideal_inventory(lat), is_strong_ideal),
+                                 (quasi_ideal_inventory(lat)[0], is_strong_quasi_ideal)):
+            strong = strong_inventory(lat, inventory)
+            for u in ids:
+                rep = query(lat, u)
+                assert rep.verdict == strong[u]
+                bad = [int(i) for i in lines[lat.line_rows(u)] if not inventory[i]]
+                if rep.verdict:
+                    assert not bad and rep.witness is None
+                else:
+                    assert rep.witness == {"line": node_rows(lat, bad[0])}
+                    assert replay_witness(lat, rep)
+                seen.add((query.__name__, bool(rep.verdict)))
+    assert len(seen) == 4
 
 
 # ---------------------------------------------------------------------------
